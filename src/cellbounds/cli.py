@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from ._textio import write_lines
 from .bounds import exclusion_radius, interference_bound, legacy_bound
 from .guarantees import (InfeasibleError, LinkBudget, criticality_feasible,
                          critical_power, rate_always_active, rate_scheduled,
@@ -62,12 +63,7 @@ def _write_csv(out_path, params: dict, header: list[str], rows,
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     lines.extend(f"# {note}" for note in footer)
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    write_lines(out_path or sys.stdout, lines)
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -160,6 +156,8 @@ def cmd_hex_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 0:
+        raise _UsageError("--trials must be non-negative")
     model = BoundedPowerLaw(args.alpha)
     h = args.hardcore
     matern_window = Rect(0.0, args.window, 0.0, args.window)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from ._textio import write_lines
 from .bounds import exclusion_radius, hardcore_regulation_constants, interference_bound
 from .guarantees import LinkBudget, theta
 from .hexnet import hardcore_for_reuse
@@ -75,18 +76,19 @@ class VerificationReport:
         for r in self.records:
             lines.append(f"{r.seed},{r.d:.12g},{r.t:.12g},{r.realized:.12g},"
                          f"{r.bound:.12g},{r.ratio:.12g}")
-        text = "\n".join(lines) + "\n"
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            with open(path_or_file, "w") as fh:
-                fh.write(text)
-        else:
-            path_or_file.write(text)
+        write_lines(path_or_file, lines)
+
+
+def _violates(r: TrialRecord) -> bool:
+    # a non-finite value certifies nothing, so it never passes
+    if not (math.isfinite(r.realized) and math.isfinite(r.bound)):
+        return True
+    return r.realized > r.bound * (1 + VIOLATION_REL_TOL)
 
 
 def _finalize(label: str, trials: int, records: list[TrialRecord],
               skipped: int = 0) -> VerificationReport:
-    violations = sum(1 for r in records
-                     if r.realized > r.bound * (1 + VIOLATION_REL_TOL))
+    violations = sum(1 for r in records if _violates(r))
     max_ratio = max((r.ratio for r in records), default=0.0)
     return VerificationReport(label, trials, violations, max_ratio,
                               records, skipped)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._textio import is_path, write_lines
 
 _REL_SLACK = 1e-12
 
@@ -272,12 +273,7 @@ def to_csv(ps: MarkedPointSet, path_or_file) -> None:
     lines = ["x,y,mark"]
     for (x, y), m in zip(ps.points, ps.marks):
         lines.append(f"{x:.17g},{y:.17g},{m}")
-    text = "\n".join(lines) + "\n"
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-    else:
-        path_or_file.write(text)
+    write_lines(path_or_file, lines)
 
 
 def from_csv(path_or_file, window: Rect | None = None,
@@ -287,7 +283,7 @@ def from_csv(path_or_file, window: Rect | None = None,
     Without an explicit window the bounding box of the points is used,
     which requires a non-empty file.
     """
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+    if is_path(path_or_file):
         with open(path_or_file) as fh:
             content = fh.read()
     else:

@@ -151,6 +151,13 @@ def test_verify_zero_trials_is_vacuous(tmp_path):
     assert rows == []
 
 
+def test_verify_negative_trials_is_usage_error(tmp_path, capsys):
+    code, out = run(tmp_path, "neg.csv", "verify", "--trials", "-5")
+    assert code == 1
+    assert "--trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_detects_corrupted_hardcore_claim(tmp_path):
     # the lattice has half-gap 2; claiming 6 must trip the verifier
     code, _ = run(tmp_path, "bad.csv", "verify", "--suite", "interference",

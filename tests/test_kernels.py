@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from cellbounds import _core_py
 from cellbounds import kernels
-
-try:
-    from cellbounds import _core
-except ImportError:
-    _core = None
-
-needs_compiled = pytest.mark.skipif(_core is None,
-                                    reason="compiled kernels not built")
 
 
 def random_cloud(n, seed):
@@ -19,14 +10,6 @@ def random_cloud(n, seed):
     ages = rng.random(n)
     marks = rng.integers(1, 4, size=n)
     return pts, ages, marks
-
-
-def matern_mask_with(impl, pts, ages, radius):
-    x = np.ascontiguousarray(pts[:, 0])
-    y = np.ascontiguousarray(pts[:, 1])
-    out = np.zeros(len(pts), dtype=np.uint8)
-    impl.matern_keep_mask(x, y, np.ascontiguousarray(ages), radius, out)
-    return out.astype(bool)
 
 
 def matern_mask_reference(pts, ages, radius):
@@ -44,46 +27,60 @@ def matern_mask_reference(pts, ages, radius):
     return keep
 
 
-def test_backend_reported():
-    assert kernels.BACKEND in ("compiled", "python")
-
-
 def test_matern_mask_matches_reference():
     pts, ages, _ = random_cloud(60, seed=2)
     expected = matern_mask_reference(pts, ages, 5.0)
     assert np.array_equal(kernels.matern_keep_mask(pts, ages, 5.0), expected)
-    assert np.array_equal(matern_mask_with(_core_py, pts, ages, 5.0), expected)
 
 
-@needs_compiled
-def test_matern_mask_backend_parity():
-    for seed in range(5):
-        pts, ages, _ = random_cloud(300, seed=seed)
-        compiled = matern_mask_with(_core, pts, ages, 6.0)
-        fallback = matern_mask_with(_core_py, pts, ages, 6.0)
-        assert np.array_equal(compiled, fallback)
+@pytest.mark.parametrize("seed", range(4))
+def test_matern_mask_matches_reference_on_larger_clouds(seed):
+    pts, ages, _ = random_cloud(300, seed=10 + seed)
+    if seed % 2:
+        # few distinct ages: the index tie-break decides most pairs
+        ages = np.floor(ages * 3)
+    expected = matern_mask_reference(pts, ages, 6.0)
+    assert np.array_equal(kernels.matern_keep_mask(pts, ages, 6.0), expected)
+
+
+def test_matern_mask_pair_at_exact_radius_survives():
+    pts = np.array([[0.0, 0.0], [4.0, 0.0]])
+    assert kernels.matern_keep_mask(pts, [0.2, 0.1], 4.0).tolist() == [True, True]
+    # just inside the radius the younger point goes
+    assert kernels.matern_keep_mask(pts, [0.2, 0.1], 4.0 + 1e-12).tolist() == \
+        [False, True]
+
+
+def min_same_mark_brute_force(pts, marks):
+    best = np.inf
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if marks[i] == marks[j]:
+                dx = pts[i, 0] - pts[j, 0]
+                dy = pts[i, 1] - pts[j, 1]
+                best = min(best, dx * dx + dy * dy)
+    return best
 
 
 def test_min_same_mark_matches_brute_force():
-    pts, _, marks = random_cloud(200, seed=4)
-    best = np.inf
-    for m in np.unique(marks):
-        sub = pts[marks == m]
-        for i in range(len(sub)):
-            for j in range(i + 1, len(sub)):
-                best = min(best, ((sub[i] - sub[j]) ** 2).sum())
-    assert kernels.min_same_mark_sq_dist(pts, marks) == pytest.approx(
-        best, rel=1e-12)
+    for seed in (4, 5, 6):
+        pts, _, marks = random_cloud(200, seed=seed)
+        assert kernels.min_same_mark_sq_dist(pts, marks) == \
+            min_same_mark_brute_force(pts, marks)
 
 
-@needs_compiled
-def test_min_same_mark_backend_parity():
-    pts, _, marks = random_cloud(400, seed=6)
-    x = np.ascontiguousarray(pts[:, 0])
-    y = np.ascontiguousarray(pts[:, 1])
-    mk = np.ascontiguousarray(marks.astype(np.int64))
-    assert _core.min_same_mark_sq_dist(x, y, mk) == pytest.approx(
-        _core_py.min_same_mark_sq_dist(x, y, mk), rel=1e-14)
+@pytest.mark.parametrize("copies", [2, 3])
+def test_min_same_mark_coincident_points(copies):
+    pts, _, marks = random_cloud(50, seed=7)
+    pts = np.vstack([pts] + [pts[marks == 2][:1]] * (copies - 1))
+    marks = np.concatenate([marks, [2] * (copies - 1)])
+    assert min_same_mark_brute_force(pts, marks) == 0.0
+    assert kernels.min_same_mark_sq_dist(pts, marks) == 0.0
+    # copies that each carry a mark of their own pair with nothing
+    marks[-(copies - 1):] = 10 + np.arange(copies - 1)
+    expected = min_same_mark_brute_force(pts, marks)
+    assert expected > 0.0
+    assert kernels.min_same_mark_sq_dist(pts, marks) == expected
 
 
 def test_min_same_mark_degenerate_inputs():
@@ -105,17 +102,6 @@ def test_power_law_sum_matches_direct_formula():
         att.sum(), rel=1e-12)
     assert kernels.bounded_power_law_sum(pts, origin, 4.0, exclude=5) == \
         pytest.approx(att.sum() - att[5], rel=1e-12)
-
-
-@needs_compiled
-def test_power_law_sum_backend_parity():
-    pts, _, _ = random_cloud(500, seed=10)
-    x = np.ascontiguousarray(pts[:, 0])
-    y = np.ascontiguousarray(pts[:, 1])
-    for exclude in (-1, 0, 250):
-        assert _core.bounded_power_law_sum(x, y, 10.0, 20.0, 3.5, exclude) == \
-            pytest.approx(_core_py.bounded_power_law_sum(x, y, 10.0, 20.0, 3.5,
-                                                         exclude), rel=1e-12)
 
 
 def test_wrappers_validate_lengths():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cellbounds.bounds import interference_bound
-from cellbounds.montecarlo import (ConfigurationError, check_ball_regulation,
+from cellbounds.montecarlo import (ConfigurationError, TrialRecord, _finalize,
+                                   check_ball_regulation,
                                    check_interference_bound,
                                    check_scheduled_bound, lattice_factory,
                                    matern_factory, trial_seed, vertex_window)
@@ -144,6 +145,15 @@ def test_max_ratio_reflects_worst_record():
     report = check_interference_bound(factory, 2.0, MODEL, trials=20, seed=13)
     assert report.max_ratio == pytest.approx(
         max(r.realized / r.bound for r in report.records), rel=1e-12)
+
+
+def test_non_finite_records_are_violations():
+    records = [TrialRecord(1, 2.0, 2.0, math.nan, 1.0),
+               TrialRecord(2, 2.0, 2.0, 0.5, math.inf),
+               TrialRecord(3, 2.0, 2.0, 0.5, 1.0)]
+    report = _finalize("non-finite", 3, records)
+    assert report.violations == 2
+    assert not report.ok
 
 
 def test_realized_interference_never_tops_bound_across_h():
