@@ -61,8 +61,9 @@ class BallRegulation:
 
 def hardcore_regulation_constants(h: float) -> BallRegulation:
     """Ball-count envelope (1, rho_h, nu_h) of a process with pairwise gap 2h."""
-    if h <= 0:
-        raise ValueError("hardcore half-distance must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(
+            f"hardcore half-distance must be positive and finite, got {h}")
     return BallRegulation(1.0, 2 * math.pi / (SQRT12 * h),
                           math.pi / (SQRT12 * h * h))
 
@@ -73,10 +74,12 @@ def exclusion_radius(d: float, h: float) -> float:
     b(o, d) is empty of interferers by nearest-transmitter association and
     b(x0, 2h) by the hardcore gap around the serving transmitter x0.
     """
-    if d < 0:
-        raise ValueError("serving distance must be non-negative")
-    if h <= 0:
-        raise ValueError("hardcore half-distance must be positive")
+    if not (math.isfinite(d) and d >= 0):
+        raise ValueError(
+            f"serving distance must be non-negative and finite, got {d}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(
+            f"hardcore half-distance must be positive and finite, got {h}")
     return max(d, 2 * h - d)
 
 

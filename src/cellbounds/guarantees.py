@@ -46,12 +46,13 @@ class LinkBudget:
     model: PathLossModel
 
     def __post_init__(self):
-        if self.power <= 0:
-            raise ValueError("transmit power must be positive")
-        if self.noise <= 0:
-            raise ValueError("noise power must be positive")
-        if self.distance < 0:
-            raise ValueError("serving distance must be non-negative")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError("transmit power must be positive and finite")
+        if not (math.isfinite(self.noise) and self.noise > 0):
+            raise ValueError("noise power must be positive and finite")
+        if not (math.isfinite(self.distance) and self.distance >= 0):
+            raise ValueError(
+                "serving distance must be non-negative and finite")
 
     @property
     def snr(self) -> float:

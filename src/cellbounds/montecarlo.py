@@ -23,7 +23,7 @@ from .bounds import exclusion_radius, hardcore_regulation_constants, interferenc
 from .guarantees import LinkBudget, theta
 from .hexnet import hardcore_for_reuse
 from .pathloss import BoundedPowerLaw, PathLossModel
-from .pointset import (MarkedPointSet, Rect, ball_count, color_lattice,
+from .pointset import (MarkedPointSet, Rect, ball_counts, color_lattice,
                        gen_matern_ii, gen_triangular_lattice, nearest_index)
 
 VIOLATION_REL_TOL = 1e-12
@@ -89,7 +89,10 @@ def _violates(r: TrialRecord) -> bool:
 def _finalize(label: str, trials: int, records: list[TrialRecord],
               skipped: int = 0) -> VerificationReport:
     violations = sum(1 for r in records if _violates(r))
-    max_ratio = max((r.ratio for r in records), default=0.0)
+    ratios = [r.ratio for r in records]
+    # max() skips a NaN unless it comes first; any NaN ratio must show
+    max_ratio = (math.nan if any(math.isnan(x) for x in ratios)
+                 else max(ratios, default=0.0))
     return VerificationReport(label, trials, violations, max_ratio,
                               records, skipped)
 
@@ -100,9 +103,16 @@ def trial_seed(seed: int, index: int) -> int:
 
 
 def matern_factory(intensity: float, hardcore_radius: float, window: Rect):
-    """Factory of Matern type-II samples for the checks below."""
-    def make(seed: int) -> MarkedPointSet:
-        return gen_matern_ii(intensity, hardcore_radius, window, seed)
+    """Factory of Matern type-II samples for the checks below.
+
+    ``make(seed, near=(center, reach))`` gives only the part of the sample
+    within ``reach`` of ``center`` (see :func:`gen_matern_ii`);
+    ``make.window`` is the sampling window.
+    """
+    def make(seed: int, near=None) -> MarkedPointSet:
+        return gen_matern_ii(intensity, hardcore_radius, window, seed,
+                             near=near)
+    make.window = window
     return make
 
 
@@ -135,35 +145,47 @@ def _attenuated_sum(model: PathLossModel, points: np.ndarray, origin,
     return total
 
 
+def _ball_center(window: Rect, r_max: float, seed: int, index: int):
+    try:
+        inner = window.shrink(r_max)
+    except ValueError:
+        raise ConfigurationError(
+            f"window {window} cannot contain balls of radius {r_max}"
+        ) from None
+    rng = np.random.default_rng([seed, index, 1])
+    return (rng.uniform(inner.xmin, inner.xmax),
+            rng.uniform(inner.ymin, inner.ymax))
+
+
 def check_ball_regulation(factory, h: float, r_grid, trials: int,
                           seed: int) -> VerificationReport:
     """Counts in random balls never exceed 1 + rho_h R + nu_h R^2.
 
     Ball centers are drawn uniformly over the window shrunk by max(R), so
-    each checked ball lies fully inside the window.
+    each checked ball lies fully inside the window.  A factory that exposes
+    its sampling ``window`` (see :func:`matern_factory`) is asked only for
+    the points within max(R) of the center; any other factory is called
+    with the seed alone.  The records are the same either way.
     """
     r_grid = [float(r) for r in r_grid]
     if not r_grid or min(r_grid) < 0:
         raise ConfigurationError("need a non-empty grid of non-negative radii")
     reg = hardcore_regulation_constants(h)
+    bounds = [reg.count_bound(r) for r in r_grid]
     records: list[TrialRecord] = []
     r_max = max(r_grid)
+    window = getattr(factory, "window", None)
     for i in range(trials):
         tseed = trial_seed(seed, i)
-        ps = factory(tseed)
-        try:
-            inner = ps.window.shrink(r_max)
-        except ValueError:
-            raise ConfigurationError(
-                f"window {ps.window} cannot contain balls of radius {r_max}"
-            ) from None
-        rng = np.random.default_rng([seed, i, 1])
-        center = (rng.uniform(inner.xmin, inner.xmax),
-                  rng.uniform(inner.ymin, inner.ymax))
-        for r in r_grid:
-            count = ball_count(ps, center, r)
-            records.append(TrialRecord(tseed, r, r, float(count),
-                                       reg.count_bound(r)))
+        if window is None:
+            ps = factory(tseed)
+            center = _ball_center(ps.window, r_max, seed, i)
+        else:
+            center = _ball_center(window, r_max, seed, i)
+            ps = factory(tseed, near=(center, r_max))
+        counts = ball_counts(ps, center, r_grid)
+        records.extend(TrialRecord(tseed, r, r, float(count), bound)
+                       for r, count, bound in zip(r_grid, counts, bounds))
     return _finalize("ball-regulation", trials, records)
 
 

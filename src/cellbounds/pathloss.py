@@ -39,8 +39,9 @@ class BoundedPowerLaw:
 
     def __init__(self, alpha: float):
         alpha = float(alpha)
-        if alpha <= 0:
-            raise ValueError(f"path-loss exponent must be positive, got {alpha}")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(
+                f"path-loss exponent must be positive and finite, got {alpha}")
         self.alpha = alpha
 
     def __repr__(self):

@@ -23,6 +23,8 @@ from . import kernels
 from ._textio import is_path, write_lines
 
 _REL_SLACK = 1e-12
+# Relative inflation of the reach of a local Matern sample (see gen_matern_ii).
+_REACH_SLACK = 1e-9
 
 
 class UnsupportedReuseError(ValueError):
@@ -134,9 +136,6 @@ class MarkedPointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def points_of(self, mark: int) -> np.ndarray:
-        return self.points[self.marks == mark]
-
 
 def gen_triangular_lattice(a: float, window: Rect) -> MarkedPointSet:
     """All triangular-lattice sites inside the window, marks all 1.
@@ -190,7 +189,7 @@ def color_lattice(lattice: MarkedPointSet, k: int) -> MarkedPointSet:
 
 
 def gen_matern_ii(intensity: float, hardcore_radius: float, window: Rect,
-                  seed: int) -> MarkedPointSet:
+                  seed: int, near=None) -> MarkedPointSet:
     """Sample a Matern type-II hardcore process on the window.
 
     A homogeneous Poisson sample of the given intensity is drawn on the
@@ -200,6 +199,15 @@ def gen_matern_ii(intensity: float, hardcore_radius: float, window: Rect,
     ``hardcore_radius``.  The retained set is clipped back to the window;
     its minimum pairwise distance is >= hardcore_radius.  Bit-reproducible
     for a fixed seed.
+
+    With ``near=(center, reach)`` the result is the full sample restricted
+    to the closed square of half-width ``reach`` around ``center``: the same
+    points in the same order.  The thinning has finite range, since whether
+    a point is retained depends only on the Poisson points within
+    ``hardcore_radius`` of it, so only the points of the Poisson sample
+    within ``reach + hardcore_radius`` of the center (in the max norm) are
+    thinned.  The whole Poisson sample is still drawn, so the random stream
+    is the same as without ``near``.
     """
     if intensity <= 0:
         raise ValueError("intensity must be positive")
@@ -211,7 +219,17 @@ def gen_matern_ii(intensity: float, hardcore_radius: float, window: Rect,
     pts = np.column_stack([rng.uniform(ext.xmin, ext.xmax, n),
                            rng.uniform(ext.ymin, ext.ymax, n)])
     ages = rng.random(n)
-    keep = kernels.matern_keep_mask(pts, ages, hardcore_radius)
+    if near is None:
+        keep = kernels.matern_keep_mask(pts, ages, hardcore_radius)
+    else:
+        center, reach = near
+        offset = np.abs(pts - np.asarray(center, dtype=float)).max(axis=1)
+        # the slack covers the rounding of the offsets; boolean masks keep
+        # the relative order that breaks ties between equal ages
+        reached = offset <= (reach + hardcore_radius) * (1 + _REACH_SLACK)
+        pts, offset = pts[reached], offset[reached]
+        keep = kernels.matern_keep_mask(pts, ages[reached], hardcore_radius)
+        keep &= offset <= reach
     pts = pts[keep]
     pts = pts[window.contains(pts)]
     return MarkedPointSet(pts, np.ones(len(pts), dtype=np.int64), window)
@@ -253,19 +271,29 @@ def nearest_point(ps: MarkedPointSet, origin):
     return ps.points[i].copy(), d
 
 
-def ball_count(ps: MarkedPointSet, center, radius: float,
-               mark: int | None = None) -> int:
-    """Number of points in the open ball b(center, radius), optionally by mark."""
-    if radius < 0:
+def ball_counts(ps: MarkedPointSet, center, radii,
+                mark: int | None = None) -> list[int]:
+    """Numbers of points in the open balls b(center, r), one per radius r."""
+    radii = [float(r) for r in radii]
+    if any(r < 0 for r in radii):
         raise ValueError("radius must be non-negative")
     if len(ps) == 0:
-        return 0
+        return [0] * len(radii)
     ctr = np.asarray(center, dtype=float)
     d2 = ((ps.points - ctr) ** 2).sum(axis=1)
     if mark is not None:
         d2 = d2[ps.marks == mark]
-    threshold = radius * (1.0 - _REL_SLACK)
-    return int((d2 < threshold * threshold).sum())
+    counts = []
+    for r in radii:
+        threshold = r * (1.0 - _REL_SLACK)
+        counts.append(int((d2 < threshold * threshold).sum()))
+    return counts
+
+
+def ball_count(ps: MarkedPointSet, center, radius: float,
+               mark: int | None = None) -> int:
+    """Number of points in the open ball b(center, radius), optionally by mark."""
+    return ball_counts(ps, center, [radius], mark)[0]
 
 
 def to_csv(ps: MarkedPointSet, path_or_file) -> None:

@@ -40,8 +40,9 @@ def test_hardcore_regulation_constants_scaling():
     reg2 = hardcore_regulation_constants(2 * h)
     assert reg2.rho == pytest.approx(reg.rho / 2, rel=1e-12)
     assert reg2.nu == pytest.approx(reg.nu / 4, rel=1e-12)
-    with pytest.raises(ValueError):
-        hardcore_regulation_constants(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            hardcore_regulation_constants(bad)
 
 
 def test_ball_regulation_envelope():
@@ -60,8 +61,10 @@ def test_exclusion_radius_cases():
     assert exclusion_radius(1.0, 1.0) == 1.0
     assert exclusion_radius(D_HEX, 2.0) == pytest.approx(D_HEX, rel=1e-15)
     assert exclusion_radius(1.0, 2.0) == 3.0
-    with pytest.raises(ValueError):
-        exclusion_radius(-0.5, 1.0)
+    for d, h in ((-0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                 (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            exclusion_radius(d, h)
     geo = ExclusionGeometry(1.0, 2.0)
     assert geo.t == 3.0
 

@@ -158,6 +158,17 @@ def test_verify_negative_trials_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound-compare", "--alpha", "nan"),
+    ("rate-vs-hk", "--hardcore", "nan"),
+])
+def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv):
+    code, out = run(tmp_path, "nan.csv", *argv)
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_detects_corrupted_hardcore_claim(tmp_path):
     # the lattice has half-gap 2; claiming 6 must trip the verifier
     code, _ = run(tmp_path, "bad.csv", "verify", "--suite", "interference",

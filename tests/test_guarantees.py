@@ -45,6 +45,10 @@ def test_link_budget_validation_and_snr():
         LinkBudget(0.0, 1.0, 1.0, BoundedPowerLaw(4))
     with pytest.raises(ValueError):
         LinkBudget(1.0, 0.0, 1.0, BoundedPowerLaw(4))
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError):
+                LinkBudget(*args, BoundedPowerLaw(4))
 
 
 def test_theta_reference_value():

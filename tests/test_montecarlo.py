@@ -156,6 +156,33 @@ def test_non_finite_records_are_violations():
     assert not report.ok
 
 
+def test_max_ratio_is_nan_whatever_the_record_order():
+    records = [TrialRecord(1, 2.0, 2.0, 0.5, 1.0),
+               TrialRecord(2, 2.0, 2.0, math.nan, 1.0)]
+    for ordered in (records, records[::-1]):
+        report = _finalize("nan-ratio", 2, ordered)
+        assert math.isnan(report.max_ratio)
+        assert report.violations == 1
+
+
+def test_matern_ball_check_local_path_matches_full_samples():
+    # a factory exposing its window is asked only for the points near each
+    # ball; the plain wrapper takes the generic path over full samples
+    factory = matern_factory(0.1, 4.0, Rect(0, 100, 0, 100))
+    local = check_ball_regulation(factory, 2.0, R_GRID, trials=40, seed=21)
+    full = check_ball_regulation(lambda s: factory(s), 2.0, R_GRID,
+                                 trials=40, seed=21)
+    assert local.records == full.records
+    assert sum(r.realized for r in local.records) > 0
+
+
+def test_matern_ball_check_window_too_small():
+    factory = matern_factory(0.1, 4.0, Rect(0, 30, 0, 30))
+    for f in (factory, lambda s: factory(s)):
+        with pytest.raises(ConfigurationError):
+            check_ball_regulation(f, 2.0, [15.0], trials=1, seed=0)
+
+
 def test_realized_interference_never_tops_bound_across_h():
     # empirical dominance of the analytic bound for sampled hardcore sets
     for claimed_h in (1.0, 1.5, 2.0):

@@ -47,6 +47,9 @@ def test_power_law_requires_positive_exponent():
         BoundedPowerLaw(0.0)
     with pytest.raises(ValueError):
         BoundedPowerLaw(-2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BoundedPowerLaw(bad)
 
 
 def test_eval_monotone_non_increasing():

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from cellbounds.pointset import (HardcoreSpec, MarkedPointSet, Rect,
-                                 UnsupportedReuseError, ball_count,
+                                 UnsupportedReuseError, ball_count, ball_counts,
                                  color_lattice, from_csv, gen_matern_ii,
                                  gen_triangular_lattice, hardcore_family,
                                  nearest_point, to_csv, verify_hardcore)
@@ -130,6 +132,28 @@ def test_matern_density_matches_thinning_formula():
     assert abs(mean_density - expected) / expected < 0.15
 
 
+# fractions of the inner window, with its edges drawn explicitly
+_EDGE_OR_INSIDE = st.one_of(st.sampled_from([0.0, 1.0]),
+                            st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), intensity=st.floats(0.02, 0.5),
+       radius=st.floats(0.5, 6.0), reach=st.floats(0.0, 18.0),
+       fx=_EDGE_OR_INSIDE, fy=_EDGE_OR_INSIDE)
+def test_matern_near_is_full_sample_restricted(seed, intensity, radius, reach,
+                                               fx, fy):
+    window = Rect(0, 40, 0, 40)
+    inner = window.shrink(reach)
+    center = (inner.xmin + fx * inner.width, inner.ymin + fy * inner.height)
+    full = gen_matern_ii(intensity, radius, window, seed)
+    near = gen_matern_ii(intensity, radius, window, seed,
+                         near=(center, reach))
+    inside = (np.abs(full.points - center) <= reach).all(axis=1)
+    assert np.array_equal(near.points, full.points[inside])
+    assert near.window == window
+
+
 def test_nearest_point_at_cell_vertex():
     ps = gen_triangular_lattice(A_HEX, Rect(-20, 20, -20, 20))
     vertex = (2.0, 4.0 * math.sqrt(3.0) / 6)
@@ -176,6 +200,24 @@ def test_ball_count_mark_filter():
     total = ball_count(lattice, (0.0, 0.0), 10.0)
     per_mark = sum(ball_count(lattice, (0.0, 0.0), 10.0, mark=m) for m in (1, 2, 3))
     assert total == per_mark
+
+
+def test_ball_counts_match_pointwise_reference():
+    lattice = color_lattice(gen_triangular_lattice(A_HEX, Rect(-20, 20, -20, 20)), 3)
+    # radii 4 and 8 hit lattice sites exactly, which the open ball excludes
+    radii = [0.0, 4.0, 4.01, 2.0, 8.0, 10.0, 16.0]
+    for center in ((0.0, 0.0), (0.3, 0.2)):
+        for mark in (None, 1, 2):
+            expected = [
+                sum(1 for (x, y), m in zip(lattice.points, lattice.marks)
+                    if mark in (None, m)
+                    and math.hypot(x - center[0], y - center[1])
+                    < r * (1 - 1e-12))
+                for r in radii]
+            assert ball_counts(lattice, center, radii, mark) == expected
+    assert ball_counts(lattice, (0.0, 0.0), []) == []
+    with pytest.raises(ValueError):
+        ball_counts(lattice, (0.0, 0.0), [2.0, -1.0])
 
 
 def test_marked_point_set_validation():
