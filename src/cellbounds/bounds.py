@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .pathloss import PathLossModel
 
 SQRT12 = math.sqrt(12.0)
@@ -123,6 +121,8 @@ def conditional_bound_general(model: PathLossModel, envelope: BallRegulation,
     evaluated here in the integration-by-parts form with adaptive
     quadrature, split at the model's non-smooth radii.
     """
+    from scipy.integrate import quad
+
     if t < 0:
         raise ValueError("exclusion radius must be non-negative")
     if radius < t:

@@ -4,12 +4,15 @@ Neighbour searches go through ``scipy.spatial.cKDTree``; every distance
 that decides a result is then recomputed from the coordinates as
 ``dx*dx + dy*dy``, so masks and minima equal those of the direct O(n^2)
 rule bit for bit.
+
+``scipy.spatial`` is imported inside the two functions that search, so
+the analytic CLI commands, which never sample, do not pay for loading it;
+after the first call the import is a ``sys.modules`` lookup.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # Relative inflation of the tree's search radius, so that no pair inside the
 # exact radius is lost to the tree's own rounding; the exact test follows.
@@ -32,6 +35,8 @@ def matern_keep_mask(points, ages, radius: float) -> np.ndarray:
     A point is kept iff no point of smaller age lies strictly within
     ``radius`` of it; equal ages rank the smaller index as older.
     """
+    from scipy.spatial import cKDTree
+
     pts = _points(points)
     age = np.asarray(ages, dtype=np.float64).reshape(-1)
     if age.shape[0] != pts.shape[0]:
@@ -53,6 +58,8 @@ def matern_keep_mask(points, ages, radius: float) -> np.ndarray:
 
 def min_same_mark_sq_dist(points, marks) -> float:
     """Smallest squared distance among same-mark pairs; inf if none exist."""
+    from scipy.spatial import cKDTree
+
     pts = _points(points)
     mk = np.asarray(marks, dtype=np.int64).reshape(-1)
     if mk.shape[0] != pts.shape[0]:

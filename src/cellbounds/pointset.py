@@ -222,8 +222,8 @@ def gen_matern_ii(intensity: float, hardcore_radius: float, window: Rect,
     if near is None:
         keep = kernels.matern_keep_mask(pts, ages, hardcore_radius)
     else:
-        center, reach = near
-        offset = np.abs(pts - np.asarray(center, dtype=float)).max(axis=1)
+        (cx, cy), reach = near
+        offset = np.maximum(np.abs(pts[:, 0] - cx), np.abs(pts[:, 1] - cy))
         # the slack covers the rounding of the offsets; boolean masks keep
         # the relative order that breaks ties between equal ages
         reached = offset <= (reach + hardcore_radius) * (1 + _REACH_SLACK)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cellbounds.bounds import (BallRegulation, ExclusionGeometry,
@@ -185,3 +187,24 @@ def test_quadrature_route_matches_closed_form_below_unit_t():
     closed = interference_bound(model, h, d)
     general = conditional_bound_general(model, envelope, exclusion_radius(d, h))
     assert general == pytest.approx(closed, rel=1e-8)
+
+
+_ALPHA = st.floats(2.5, 6.0)
+_H = st.floats(0.2, 5.0)
+_D = st.floats(0.0, 20.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=_ALPHA, h=_H, d=_D)
+def test_quadrature_route_matches_closed_form_random(alpha, h, d):
+    model = BoundedPowerLaw(alpha)
+    envelope = hardcore_regulation_constants(h).without_sigma()
+    general = conditional_bound_general(model, envelope, exclusion_radius(d, h))
+    assert general == pytest.approx(interference_bound(model, h, d), rel=1e-8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=_ALPHA, h=_H, d=_D)
+def test_new_bound_never_exceeds_legacy_random(alpha, h, d):
+    model = BoundedPowerLaw(alpha)
+    assert interference_bound(model, h, d) <= legacy_bound(model, h, d) * (1 + 1e-12)

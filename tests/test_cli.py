@@ -202,3 +202,15 @@ def test_figure_commands_fast_at_default_grids(tmp_path):
         code, _ = run(tmp_path, f"{name}.csv", *argv)
         assert code == 0
         assert time.perf_counter() - start < 10.0
+
+
+def test_verify_detects_sampler_with_half_the_gap(tmp_path, monkeypatch):
+    # a Matern sampler thinned at radius h instead of 2h breaks the hardcore
+    # claim; at seed 42 the Matern interference records exceed their bound
+    real = cli.matern_factory
+    monkeypatch.setattr(cli, "matern_factory",
+                        lambda intensity, radius, window:
+                        real(intensity, radius / 2, window))
+    code, _ = run(tmp_path, "half.csv", "verify", "--trials", "100",
+                  "--seed", "42")
+    assert code == 3

@@ -1,0 +1,44 @@
+"""Each CLI command loads only the scipy modules it runs.
+
+The checks run in a fresh interpreter, since the test modules themselves
+import scipy.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import cellbounds, cellbounds.cli
+for argv in json.loads(sys.argv[2]):
+    assert cellbounds.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def scipy_modules_after(*commands):
+    """Names of the scipy modules loaded after running ``commands`` in turn."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, str(SRC), json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, check=True)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_sweeps_load_no_scipy(tmp_path):
+    commands = [[name, "--out", str(tmp_path / f"{name}.csv")]
+                for name in ("bound-compare", "rate-vs-hk", "critical-power",
+                             "hex-sweep")]
+    assert scipy_modules_after(*commands) == set()
+
+
+def test_verify_loads_spatial_but_not_integrate(tmp_path):
+    loaded = scipy_modules_after(
+        ["verify", "--trials", "1", "--out", str(tmp_path / "v.csv")])
+    assert "scipy.spatial" in loaded
+    assert "scipy.integrate" not in loaded
