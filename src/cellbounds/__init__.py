@@ -1,6 +1,8 @@
 """Worst-case interference and rate guarantees for hardcore-regulated
 cellular downlinks, with an empirical verifier for the almost-sure claims."""
 
+from importlib import import_module
+
 from .bounds import (BallRegulation, ExclusionGeometry,
                      conditional_bound_general, exclusion_radius,
                      hardcore_regulation_constants, interference_bound,
@@ -9,17 +11,37 @@ from .guarantees import (CriticalPower, InfeasibleError, LinkBudget,
                          RateGuarantee, critical_power, criticality_feasible,
                          rate_always_active, rate_scheduled, solve_critical_hk,
                          theta)
-from .hexnet import HexConfig, HexRatePoint, hardcore_for_reuse, hex_rate_sweep
-from .montecarlo import (ConfigurationError, TrialRecord, VerificationReport,
-                         check_ball_regulation, check_interference_bound,
-                         check_scheduled_bound, lattice_factory,
-                         matern_factory, vertex_window)
+from .hexnet import (HexConfig, HexRatePoint, UnsupportedReuseError,
+                     hardcore_for_reuse, hex_rate_sweep)
 from .pathloss import BoundedPowerLaw, DivergenceError, PathLossModel, Tabulated
-from .pointset import (HardcoreSpec, MarkedPointSet, Rect,
-                       UnsupportedReuseError, ball_count, color_lattice,
-                       from_csv, gen_matern_ii, gen_triangular_lattice,
-                       hardcore_family, nearest_index, nearest_point, to_csv,
-                       verify_hardcore)
+
+# The sampling and verification API runs on numpy.  Its names, and the
+# modules themselves, resolve on first access (PEP 562), so ``import
+# cellbounds`` and the analytic sweeps do not load numpy.
+_LAZY = {
+    **{module: module for module in ("kernels", "montecarlo", "pointset")},
+    **dict.fromkeys(
+        ("ConfigurationError", "TrialRecord", "VerificationReport",
+         "check_ball_regulation", "check_interference_bound",
+         "check_scheduled_bound", "lattice_factory", "matern_factory",
+         "vertex_window"), "montecarlo"),
+    **dict.fromkeys(
+        ("HardcoreSpec", "MarkedPointSet", "Rect", "ball_count",
+         "color_lattice", "from_csv", "gen_matern_ii",
+         "gen_triangular_lattice", "hardcore_family", "nearest_index",
+         "nearest_point", "to_csv", "verify_hardcore"), "pointset"),
+}
+
+
+def __getattr__(name):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    loaded = import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)
+
 
 __version__ = "0.1.0"
 

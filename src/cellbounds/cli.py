@@ -15,19 +15,13 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from ._textio import write_lines
 from .bounds import exclusion_radius, interference_bound, legacy_bound
 from .guarantees import (InfeasibleError, LinkBudget, criticality_feasible,
                          critical_power, rate_always_active, rate_scheduled,
                          solve_critical_hk)
 from .hexnet import hex_rate_sweep
-from .montecarlo import (ConfigurationError, check_ball_regulation,
-                         check_interference_bound, check_scheduled_bound,
-                         lattice_factory, matern_factory)
 from .pathloss import BoundedPowerLaw, DivergenceError
-from .pointset import Rect, UnsupportedReuseError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,12 +60,26 @@ def _write_csv(out_path, params: dict, header: list[str], rows,
     write_lines(out_path or sys.stdout, lines)
 
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+def _grid(lo: float, hi: float, step: float) -> list[float]:
+    """The points lo, lo + step, ... up to hi (inclusive within step/2).
+
+    Equal bit for bit to ``np.arange(lo, hi + step / 2, step)``: the same
+    length, and numpy's fill rule lo + i*((lo + step) - lo) for i >= 2.
+    """
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise _UsageError("grid bounds and step must be finite")
     if step <= 0:
         raise _UsageError("grid step must be positive")
     if hi < lo:
         raise _UsageError("grid upper end must not be below the lower end")
-    return np.arange(lo, hi + step / 2, step)
+    span = (hi + step / 2 - lo) / step
+    if not span <= sys.maxsize:  # also catches hi + step/2 overflowing
+        raise _UsageError(f"grid of {span:.3g} points is too long")
+    length = math.ceil(span)
+    if length < 2:
+        return [lo][:length]
+    delta = (lo + step) - lo
+    return [lo, lo + step] + [lo + i * delta for i in range(2, length)]
 
 
 def cmd_bound_compare(args) -> int:
@@ -87,7 +95,7 @@ def cmd_bound_compare(args) -> int:
             # sweeping the exclusion radius directly: the serving distance
             # d = t realizes t = max(d, 2h - d) whenever t >= h, and h is
             # the smallest reachable exclusion radius
-            d = max(float(t), args.hardcore)
+            d = max(t, args.hardcore)
             t_real = exclusion_radius(d, args.hardcore)
             rows.append((t_real, alpha,
                          interference_bound(model, args.hardcore, d),
@@ -110,8 +118,8 @@ def cmd_rate_vs_hk(args) -> int:
     hk_star = solve_critical_hk(link, args.hardcore, args.k) if feasible else None
     rows = []
     for h_k in _grid(args.hk_min, args.hk_max, args.hk_step):
-        sched = rate_scheduled(link, args.k, float(h_k), args.log_base).rate
-        rows.append((float(h_k), sched, aa, hk_star))
+        sched = rate_scheduled(link, args.k, h_k, args.log_base).rate
+        rows.append((h_k, sched, aa, hk_star))
     footer = [] if feasible else [
         "criticality infeasible: log(1+SNR) < k*log(1+theta); "
         "always active dominates for every h_k"]
@@ -134,10 +142,10 @@ def cmd_critical_power(args) -> int:
     for k in ks:
         for h_k in _grid(args.hk_min, args.hk_max, args.hk_step):
             try:
-                res = critical_power(link, args.hardcore, k, float(h_k))
-                rows.append((k, float(h_k), res.p_k_star, res.feasible))
+                res = critical_power(link, args.hardcore, k, h_k)
+                rows.append((k, h_k, res.p_k_star, res.feasible))
             except InfeasibleError:
-                rows.append((k, float(h_k), None, False))
+                rows.append((k, h_k, None, False))
     _write_csv(args.out, params, ["K", "H_K", "P_K_star", "feasible"], rows)
     return EXIT_OK
 
@@ -156,6 +164,11 @@ def cmd_hex_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .montecarlo import (check_ball_regulation, check_interference_bound,
+                             check_scheduled_bound, lattice_factory,
+                             matern_factory)
+    from .pointset import Rect
+
     if args.trials < 0:
         raise _UsageError("--trials must be non-negative")
     model = BoundedPowerLaw(args.alpha)
@@ -308,7 +321,7 @@ def main(argv=None) -> int:
     except (DivergenceError, InfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigurationError, UnsupportedReuseError, ValueError) as exc:
+    except ValueError as exc:  # incl. ConfigurationError, UnsupportedReuseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,9 +19,12 @@ from typing import NamedTuple
 
 from .guarantees import LinkBudget, rate_always_active, rate_scheduled
 from .pathloss import PathLossModel
-from .pointset import UnsupportedReuseError
 
 _HARDCORE_PER_EDGE = {1: math.sqrt(3.0) / 2, 3: 1.5, 4: math.sqrt(3.0)}
+
+
+class UnsupportedReuseError(ValueError):
+    """Requested reuse factor has no shipped lattice coloring."""
 
 
 def hardcore_for_reuse(a: float, k: int) -> float:

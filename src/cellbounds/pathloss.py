@@ -12,24 +12,47 @@ with closed-form integrals; ``Tabulated`` interpolates measured samples
 linearly and integrates the interpolant exactly segment by segment, with
 the last sample radius acting as the declared truncation (l is zero
 beyond it).
+
+``eval`` takes a scalar or an array.  A scalar distance is evaluated with
+float arithmetic (libm ``pow``) and gives a Python ``float``; an array is
+evaluated with numpy and gives an array.  numpy is imported only on the
+array path and by ``Tabulated``, so the analytic sweeps, which evaluate
+scalars alone, run without loading it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Union
 
-import numpy as np
+
+# float first: it covers Python floats and numpy float64 without the much
+# slower abstract-base-class check that other real scalars need
+_REAL_SCALAR = (float, numbers.Real)
 
 
 class DivergenceError(ValueError):
     """Requested integral of the attenuation model diverges."""
 
 
+def _scalar_distance(r) -> float | None:
+    """``r`` as a float if it is a real scalar, else None; rejects negative
+    and NaN distances (+inf is valid: l(inf) = 0)."""
+    if not isinstance(r, _REAL_SCALAR):
+        return None
+    r = float(r)
+    if not r >= 0:
+        raise ValueError(f"distance must be non-negative, got {r}")
+    return r
+
+
 def _as_distance(r):
-    """Coerce to a float array, rejecting negative distances."""
+    """Coerce to a float array, rejecting negative and NaN distances."""
+    import numpy as np
+
     arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr < 0):
+    if not np.all(arr >= 0):
         raise ValueError("distance must be non-negative")
     return arr
 
@@ -53,13 +76,18 @@ class BoundedPowerLaw:
         return (1.0,)
 
     def eval(self, r):
-        """Attenuation at distance r >= 0; accepts scalars or arrays."""
-        scalar = np.ndim(r) == 0
+        """Attenuation at distance r >= 0; a real scalar gives a float, an
+        array gives an array."""
+        x = _scalar_distance(r)
+        if x is not None:
+            return x ** -self.alpha if x > 1.0 else 1.0
+        import numpy as np
+
         arr = _as_distance(r)
         out = np.ones_like(arr)
         far = arr > 1.0
         out[far] = arr[far] ** -self.alpha
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(r) == 0 else out
 
     def integral(self, a: float, b: float) -> float:
         """int_a^b l(r) dr, exact; b may be inf (requires alpha > 1)."""
@@ -129,6 +157,8 @@ class Tabulated:
     """
 
     def __init__(self, samples):
+        import numpy as np
+
         pts = [(float(r), float(v)) for r, v in samples]
         if not pts:
             raise ValueError("need at least one sample")
@@ -164,11 +194,12 @@ class Tabulated:
         return tuple(self._knots)
 
     def eval(self, r):
-        scalar = np.ndim(r) == 0
+        import numpy as np
+
         arr = _as_distance(r)
         out = np.interp(arr, self._knots, self._knot_values,
                         left=self._knot_values[0], right=0.0)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if np.ndim(r) == 0 else out
 
     def integral(self, a: float, b: float) -> float:
         """int_a^b l(r) dr, exact on the interpolant; b may be inf."""

@@ -21,14 +21,11 @@ import numpy as np
 
 from . import kernels
 from ._textio import is_path, write_lines
+from .hexnet import UnsupportedReuseError
 
 _REL_SLACK = 1e-12
 # Relative inflation of the reach of a local Matern sample (see gen_matern_ii).
 _REACH_SLACK = 1e-9
-
-
-class UnsupportedReuseError(ValueError):
-    """Requested reuse factor has no shipped lattice coloring."""
 
 
 @dataclass(frozen=True)

@@ -208,3 +208,12 @@ def test_quadrature_route_matches_closed_form_random(alpha, h, d):
 def test_new_bound_never_exceeds_legacy_random(alpha, h, d):
     model = BoundedPowerLaw(alpha)
     assert interference_bound(model, h, d) <= legacy_bound(model, h, d) * (1 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=_ALPHA, h=_H, u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+def test_interference_bound_non_increasing_in_d(alpha, h, u, v):
+    model = BoundedPowerLaw(alpha)
+    near, far = (h + w * (20.0 - h) for w in sorted((u, v)))
+    assert (interference_bound(model, h, far)
+            <= interference_bound(model, h, near) * (1 + 1e-12))

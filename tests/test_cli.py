@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cellbounds import cli
 
@@ -44,6 +46,18 @@ def test_bound_compare_output(tmp_path):
     for series in by_alpha.values():
         vals = [v for _, v in sorted(series)]
         assert all(x >= y for x, y in zip(vals, vals[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e2),
+       step=st.floats(1e-2, 1e2))
+@example(lo=1.0, width=9.0, step=0.1)      # bound-compare defaults
+@example(lo=2.0, width=6.0, step=0.1)      # rate-vs-hk, critical-power
+@example(lo=-15.0, width=30.0, step=0.1)   # hex-sweep
+def test_grid_equals_numpy_arange(lo, width, step):
+    hi = lo + width
+    assert cli._grid(lo, hi, step) == np.arange(lo, hi + step / 2,
+                                                 step).tolist()
 
 
 def test_bound_compare_rejects_bad_range(tmp_path):
@@ -169,6 +183,22 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("bound-compare", "--t-max", "inf"),
+    ("bound-compare", "--t-step", "nan"),
+    ("rate-vs-hk", "--hk-step", "1e-300"),
+    ("critical-power", "--hk-step", "1e-300"),
+    ("rate-vs-hk", "--d", "nan"),
+])
+def test_bad_grid_or_distance_is_one_line_usage_error(tmp_path, capsys, argv):
+    # the 1e-300 step asks for ~6e300 points: refused before any is built
+    code, out = run(tmp_path, "bad.csv", *argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_verify_detects_corrupted_hardcore_claim(tmp_path):
     # the lattice has half-gap 2; claiming 6 must trip the verifier
     code, _ = run(tmp_path, "bad.csv", "verify", "--suite", "interference",
@@ -204,13 +234,17 @@ def test_figure_commands_fast_at_default_grids(tmp_path):
         assert time.perf_counter() - start < 10.0
 
 
-def test_verify_detects_sampler_with_half_the_gap(tmp_path, monkeypatch):
+def test_verify_detects_sampler_with_half_the_gap(tmp_path, monkeypatch,
+                                                  capsys):
     # a Matern sampler thinned at radius h instead of 2h breaks the hardcore
     # claim; at seed 42 the Matern interference records exceed their bound
-    real = cli.matern_factory
-    monkeypatch.setattr(cli, "matern_factory",
+    from cellbounds import montecarlo
+
+    real = montecarlo.matern_factory
+    monkeypatch.setattr(montecarlo, "matern_factory",
                         lambda intensity, radius, window:
                         real(intensity, radius / 2, window))
     code, _ = run(tmp_path, "half.csv", "verify", "--trials", "100",
                   "--seed", "42")
     assert code == 3
+    assert "total violations: 7" in capsys.readouterr().out

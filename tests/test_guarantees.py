@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cellbounds.guarantees import (CriticalPower, InfeasibleError, LinkBudget,
                                    critical_power, criticality_feasible,
@@ -195,3 +197,16 @@ def test_critical_power_round_trip():
             dialed = link.scaled(reduced.p_k_star)
             assert rate_scheduled(dialed, k, h_k).rate == pytest.approx(
                 rate_always_active(link, h).rate, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(2.5, 6.0), h=st.floats(0.5, 5.0),
+       d_over_h=st.floats(0.3, 2.0), k=st.sampled_from((2, 3, 4)),
+       snr_db=st.floats(-5.0, 20.0), power=st.floats(0.5, 2.0))
+def test_critical_power_at_critical_hk_is_the_full_power(alpha, h, d_over_h,
+                                                         k, snr_db, power):
+    link = reference_link(snr_db, power, alpha, d_over_h * h)
+    assume(criticality_feasible(link, h, k))
+    h_k = solve_critical_hk(link, h, k)
+    assert critical_power(link, h, k, h_k).p_k_star == pytest.approx(
+        power, rel=1e-9)

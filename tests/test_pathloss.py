@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cellbounds.pathloss import BoundedPowerLaw, DivergenceError, Tabulated
@@ -40,6 +42,29 @@ def test_power_law_eval_accepts_arrays():
 def test_power_law_eval_rejects_negative_distance():
     with pytest.raises(ValueError):
         BoundedPowerLaw(4).eval(-0.1)
+
+
+@pytest.mark.parametrize("model", [BoundedPowerLaw(4),
+                                   Tabulated([(1, 1.0), (2, 0.5), (4, 0.0)])])
+def test_eval_rejects_nan_distance_and_accepts_inf(model):
+    for bad in (math.nan, np.float64("nan"), np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            model.eval(bad)
+    assert model.eval(math.inf) == 0.0
+    assert model.eval(np.array([math.inf])).tolist() == [0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(0.0, 1e3), alpha=st.floats(2.5, 6.0))
+def test_scalar_eval_is_float_within_one_ulp_of_array_eval(r, alpha):
+    model = BoundedPowerLaw(alpha)
+    value = model.eval(r)
+    assert type(value) is float
+    assert model.eval(np.float64(r)) == value
+    on_array = model.eval(np.array([r]))[0]
+    assert abs(value - on_array) <= math.ulp(on_array)
+    if r <= 1:
+        assert value == 1.0
 
 
 def test_power_law_requires_positive_exponent():
