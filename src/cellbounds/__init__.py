@@ -3,16 +3,15 @@ cellular downlinks, with an empirical verifier for the almost-sure claims."""
 
 from importlib import import_module
 
-from .bounds import (BallRegulation, ExclusionGeometry,
-                     conditional_bound_general, exclusion_radius,
-                     hardcore_regulation_constants, interference_bound,
-                     legacy_bound, shot_noise_bound)
+from .bounds import (BallRegulation, conditional_bound_general,
+                     exclusion_radius, hardcore_regulation_constants,
+                     interference_bound, legacy_bound, shot_noise_bound)
 from .guarantees import (CriticalPower, InfeasibleError, LinkBudget,
                          RateGuarantee, critical_power, criticality_feasible,
                          rate_always_active, rate_scheduled, solve_critical_hk,
                          theta)
-from .hexnet import (HexConfig, HexRatePoint, UnsupportedReuseError,
-                     hardcore_for_reuse, hex_rate_sweep)
+from .hexnet import (HexRatePoint, UnsupportedReuseError, hardcore_for_reuse,
+                     hex_rate_sweep)
 from .pathloss import BoundedPowerLaw, DivergenceError, PathLossModel, Tabulated
 
 # The sampling and verification API runs on numpy.  Its names, and the
@@ -26,10 +25,9 @@ _LAZY = {
          "check_scheduled_bound", "lattice_factory", "matern_factory",
          "vertex_window"), "montecarlo"),
     **dict.fromkeys(
-        ("HardcoreSpec", "MarkedPointSet", "Rect", "ball_count",
-         "color_lattice", "from_csv", "gen_matern_ii",
-         "gen_triangular_lattice", "hardcore_family", "nearest_index",
-         "nearest_point", "to_csv", "verify_hardcore"), "pointset"),
+        ("MarkedPointSet", "Rect", "ball_count", "color_lattice", "from_csv",
+         "gen_matern_ii", "gen_triangular_lattice", "nearest_index", "to_csv",
+         "verify_hardcore"), "pointset"),
 }
 
 
@@ -51,9 +49,6 @@ __all__ = [
     "ConfigurationError",
     "CriticalPower",
     "DivergenceError",
-    "ExclusionGeometry",
-    "HardcoreSpec",
-    "HexConfig",
     "HexRatePoint",
     "InfeasibleError",
     "LinkBudget",
@@ -77,7 +72,6 @@ __all__ = [
     "from_csv",
     "gen_matern_ii",
     "gen_triangular_lattice",
-    "hardcore_family",
     "hardcore_for_reuse",
     "hardcore_regulation_constants",
     "hex_rate_sweep",
@@ -86,7 +80,6 @@ __all__ = [
     "legacy_bound",
     "matern_factory",
     "nearest_index",
-    "nearest_point",
     "rate_always_active",
     "rate_scheduled",
     "shot_noise_bound",

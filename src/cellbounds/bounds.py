@@ -81,21 +81,6 @@ def exclusion_radius(d: float, h: float) -> float:
     return max(d, 2 * h - d)
 
 
-@dataclass(frozen=True)
-class ExclusionGeometry:
-    """Serving distance d and hardcore half-distance h with the derived t."""
-
-    d: float
-    h: float
-
-    def __post_init__(self):
-        exclusion_radius(self.d, self.h)  # validates
-
-    @property
-    def t(self) -> float:
-        return exclusion_radius(self.d, self.h)
-
-
 def shot_noise_bound(model: PathLossModel, h: float, radius: float = math.inf) -> float:
     """A.s. bound on sum of l(|x|) over an h-hardcore process in b(o, radius).
 

@@ -164,9 +164,15 @@ def cmd_hex_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .montecarlo import (check_ball_regulation, check_interference_bound,
-                             check_scheduled_bound, lattice_factory,
-                             matern_factory)
+    """Run the verification suites.
+
+    The trial-indexed suites run in one process per usable CPU (see
+    :func:`cellbounds.montecarlo.run_suites`); the output is the same for
+    any number of processes.
+    """
+    from .montecarlo import (ball_regulation_suite, check_scheduled_bound,
+                             interference_suite, lattice_factory,
+                             matern_factory, run_suites)
     from .pointset import Rect
 
     if args.trials < 0:
@@ -177,18 +183,19 @@ def cmd_verify(args) -> int:
     matern = matern_factory(args.intensity, 2 * h, matern_window)
     lattice = lattice_factory(args.a, args.lattice_half_width)
 
-    reports = []
+    suites = []
     if args.suite in ("ball", "all"):
         r_grid = [2.0, 4.0, 8.0, 16.0]
-        reports.append(check_ball_regulation(lattice, h, r_grid,
-                                             args.trials, args.seed))
-        reports.append(check_ball_regulation(matern, h, r_grid,
-                                             args.trials, args.seed + 1))
+        suites.append(ball_regulation_suite(lattice, h, r_grid,
+                                            args.trials, args.seed))
+        suites.append(ball_regulation_suite(matern, h, r_grid,
+                                            args.trials, args.seed + 1))
     if args.suite in ("interference", "all"):
-        reports.append(check_interference_bound(lattice, h, model,
-                                                min(args.trials, 1), args.seed))
-        reports.append(check_interference_bound(matern, h, model,
-                                                args.trials, args.seed + 2))
+        suites.append(interference_suite(lattice, h, model,
+                                         min(args.trials, 1), args.seed))
+        suites.append(interference_suite(matern, h, model,
+                                          args.trials, args.seed + 2))
+    reports = run_suites(suites)
     if args.suite in ("scheduled", "all"):
         if args.trials > 0:
             for k in (1, 3, 4):

@@ -14,7 +14,6 @@ from its serving site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .guarantees import LinkBudget, rate_always_active, rate_scheduled
@@ -35,25 +34,6 @@ def hardcore_for_reuse(a: float, k: int) -> float:
         return _HARDCORE_PER_EDGE[k] * a
     except KeyError:
         raise UnsupportedReuseError(f"no reuse-{k} coloring available") from None
-
-
-@dataclass(frozen=True)
-class HexConfig:
-    """Hexagonal network with its worst-case (cell-vertex) link budget."""
-
-    a: float
-    k: int
-    link: LinkBudget
-
-    def __post_init__(self):
-        if self.k not in _HARDCORE_PER_EDGE:
-            raise UnsupportedReuseError(f"no reuse-{self.k} coloring available")
-        if self.link.distance != self.a:
-            raise ValueError("worst-case user sits at a cell vertex: d must equal a")
-
-    @property
-    def h_k(self) -> float:
-        return hardcore_for_reuse(self.a, self.k)
 
 
 class HexRatePoint(NamedTuple):

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernels
+from ._shards import default_workers, map_shards
 from ._textio import write_lines
 from .bounds import exclusion_radius, hardcore_regulation_constants, interference_bound
 from .guarantees import LinkBudget, theta
@@ -157,25 +160,82 @@ def _ball_center(window: Rect, r_max: float, seed: int, index: int):
             rng.uniform(inner.ymin, inner.ymax))
 
 
-def check_ball_regulation(factory, h: float, r_grid, trials: int,
-                          seed: int) -> VerificationReport:
-    """Counts in random balls never exceed 1 + rho_h R + nu_h R^2.
+class Suite(NamedTuple):
+    """A trial-indexed check, to be run whole or in shards of its trials.
 
-    Ball centers are drawn uniformly over the window shrunk by max(R), so
-    each checked ball lies fully inside the window.  A factory that exposes
-    its sampling ``window`` (see :func:`matern_factory`) is asked only for
-    the points within max(R) of the center; any other factory is called
-    with the seed alone.  The records are the same either way.
+    ``records(trial_range)`` gives the records of the trials with those
+    indices and how many of them were skipped.  A record depends only on
+    the suite's seed and its trial index, so the records of contiguous
+    ranges, concatenated in order, are those of ``range(trials)``.
     """
+
+    label: str
+    trials: int
+    records: Callable[[range], tuple[list[TrialRecord], int]]
+
+    def run(self) -> VerificationReport:
+        return _finalize(self.label, self.trials,
+                         *self.records(range(self.trials)))
+
+
+def run_suites(suites: list[Suite],
+               workers: int | None = None) -> list[VerificationReport]:
+    """Reports of the suites, their trials split over ``workers`` processes.
+
+    By default there is one process per usable CPU and at most one per
+    trial (see :func:`cellbounds._shards.worker_count`).  Each process
+    runs one contiguous range of trial indices of every suite (see
+    :func:`cellbounds._shards.map_shards`), and the ranges are merged in
+    trial order, so the reports are the same for any ``workers``.  If
+    trials raise, the exception raised is the one a single process raises:
+    that of the earliest suite, then of the earliest trial.
+    """
+    trials = max((suite.trials for suite in suites), default=0)
+    if workers is None:
+        workers = default_workers(trials)
+    shards = map_shards(partial(_run_shard, suites), trials, workers)
+    failures = [(len(done), exc) for done, exc in shards if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    reports = []
+    for j, suite in enumerate(suites):
+        records = [r for done, _ in shards for r in done[j][0]]
+        skipped = sum(done[j][1] for done, _ in shards)
+        reports.append(_finalize(suite.label, suite.trials, records, skipped))
+    return reports
+
+
+def _run_shard(suites: list[Suite], shard: range):
+    """Records and skipped counts of each suite over the trials in shard,
+    up to the first suite that raises, and that exception or None."""
+    done = []
+    for suite in suites:
+        try:
+            done.append(suite.records(
+                range(shard.start, min(shard.stop, suite.trials))))
+        except Exception as exc:  # run_suites raises it if no earlier one
+            return done, exc
+    return done, None
+
+
+def ball_regulation_suite(factory, h: float, r_grid, trials: int,
+                          seed: int) -> Suite:
+    """The trials of :func:`check_ball_regulation` as a :class:`Suite`."""
     r_grid = [float(r) for r in r_grid]
     if not r_grid or min(r_grid) < 0:
         raise ConfigurationError("need a non-empty grid of non-negative radii")
     reg = hardcore_regulation_constants(h)
     bounds = [reg.count_bound(r) for r in r_grid]
+    return Suite("ball-regulation", trials,
+                 partial(_ball_records, factory, r_grid, bounds, seed))
+
+
+def _ball_records(factory, r_grid: list[float], bounds: list[float],
+                  seed: int, trials: range):
     records: list[TrialRecord] = []
     r_max = max(r_grid)
     window = getattr(factory, "window", None)
-    for i in range(trials):
+    for i in trials:
         tseed = trial_seed(seed, i)
         if window is None:
             ps = factory(tseed)
@@ -186,21 +246,34 @@ def check_ball_regulation(factory, h: float, r_grid, trials: int,
         counts = ball_counts(ps, center, r_grid)
         records.extend(TrialRecord(tseed, r, r, float(count), bound)
                        for r, count, bound in zip(r_grid, counts, bounds))
-    return _finalize("ball-regulation", trials, records)
+    return records, 0
 
 
-def check_interference_bound(factory, h: float, model: PathLossModel,
-                             trials: int, seed: int) -> VerificationReport:
-    """Realized interference at the window center never exceeds the bound.
+def check_ball_regulation(factory, h: float, r_grid, trials: int,
+                          seed: int) -> VerificationReport:
+    """Counts in random balls never exceed 1 + rho_h R + nu_h R^2.
 
-    Per trial: the user sits at the window center, associates with the
-    nearest point x0 at distance d, and the realized sum of l(|x - user|)
-    over all other points is checked against interference_bound(l, h, d).
-    Empty samples are skipped and counted.
+    Ball centers are drawn uniformly over the window shrunk by max(R), so
+    each checked ball lies fully inside the window.  A factory that exposes
+    its sampling ``window`` (see :func:`matern_factory`) is asked only for
+    the points within max(R) of the center; any other factory is called
+    with the seed alone.  The records are the same either way.
     """
+    return ball_regulation_suite(factory, h, r_grid, trials, seed).run()
+
+
+def interference_suite(factory, h: float, model: PathLossModel, trials: int,
+                       seed: int) -> Suite:
+    """The trials of :func:`check_interference_bound` as a :class:`Suite`."""
+    return Suite("interference-bound", trials,
+                 partial(_interference_records, factory, h, model, seed))
+
+
+def _interference_records(factory, h: float, model: PathLossModel, seed: int,
+                          trials: range):
     records: list[TrialRecord] = []
     skipped = 0
-    for i in range(trials):
+    for i in trials:
         tseed = trial_seed(seed, i)
         ps = factory(tseed)
         if len(ps) == 0:
@@ -213,7 +286,19 @@ def check_interference_bound(factory, h: float, model: PathLossModel,
         realized = _attenuated_sum(model, ps.points, user, exclude=i0)
         bound = interference_bound(model, h, d)
         records.append(TrialRecord(tseed, d, t, realized, bound))
-    return _finalize("interference-bound", trials, records, skipped)
+    return records, skipped
+
+
+def check_interference_bound(factory, h: float, model: PathLossModel,
+                             trials: int, seed: int) -> VerificationReport:
+    """Realized interference at the window center never exceeds the bound.
+
+    Per trial: the user sits at the window center, associates with the
+    nearest point x0 at distance d, and the realized sum of l(|x - user|)
+    over all other points is checked against interference_bound(l, h, d).
+    Empty samples are skipped and counted.
+    """
+    return interference_suite(factory, h, model, trials, seed).run()
 
 
 def check_scheduled_bound(a: float, k: int, model: PathLossModel,

@@ -78,32 +78,6 @@ class Rect:
 
 
 @dataclass(frozen=True)
-class HardcoreSpec:
-    """Regulation parameters: same-class points are at least 2*h_k apart."""
-
-    k: int
-    h_k: float
-
-    def __post_init__(self):
-        if self.k < 1 or int(self.k) != self.k:
-            raise ValueError("k must be a positive integer")
-        if self.h_k <= 0:
-            raise ValueError("h_k must be positive")
-
-
-def hardcore_family(pairs) -> tuple[HardcoreSpec, ...]:
-    """Build a family of specs, checking h_k is non-decreasing in k."""
-    specs = tuple(HardcoreSpec(k, h) for k, h in pairs)
-    by_k = sorted(specs, key=lambda s: s.k)
-    for prev, cur in zip(by_k, by_k[1:]):
-        if cur.h_k < prev.h_k:
-            raise ValueError(
-                f"h_k must be non-decreasing in k: h_{prev.k}={prev.h_k} "
-                f"> h_{cur.k}={cur.h_k}")
-    return specs
-
-
-@dataclass(frozen=True)
 class MarkedPointSet:
     """Finite planar point set with scheduling marks in {1..num_marks}."""
 
@@ -258,14 +232,6 @@ def nearest_index(ps: MarkedPointSet, origin, mark: int | None = None) -> int:
         order = np.lexsort((pts[tied, 1], pts[tied, 0]))
         tied = tied[order]
     return int(candidates[tied[0]])
-
-
-def nearest_point(ps: MarkedPointSet, origin):
-    """Closest point to origin and its distance."""
-    i = nearest_index(ps, origin)
-    org = np.asarray(origin, dtype=float)
-    d = float(np.sqrt(((ps.points[i] - org) ** 2).sum()))
-    return ps.points[i].copy(), d
 
 
 def ball_counts(ps: MarkedPointSet, center, radii,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cellbounds.bounds import (BallRegulation, ExclusionGeometry,
-                               conditional_bound_general, exclusion_radius,
+from cellbounds.bounds import (BallRegulation, conditional_bound_general,
+                               exclusion_radius,
                                hardcore_regulation_constants,
                                interference_bound, legacy_bound,
                                shot_noise_bound)
@@ -67,8 +67,6 @@ def test_exclusion_radius_cases():
                  (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(ValueError):
             exclusion_radius(d, h)
-    geo = ExclusionGeometry(1.0, 2.0)
-    assert geo.t == 3.0
 
 
 def test_shot_noise_bound_values():

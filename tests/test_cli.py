@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -248,3 +249,46 @@ def test_verify_detects_sampler_with_half_the_gap(tmp_path, monkeypatch,
                   "--seed", "42")
     assert code == 3
     assert "total violations: 7" in capsys.readouterr().out
+
+
+def pin_workers(monkeypatch, workers):
+    from cellbounds import montecarlo
+    monkeypatch.setattr(montecarlo, "default_workers", lambda trials: workers)
+
+
+@pytest.mark.parametrize("trials, seed", [(7, 5), (100, 42)])
+def test_verify_output_is_the_same_for_any_worker_count(tmp_path, monkeypatch,
+                                                        capfd, trials, seed):
+    # 7 trials leave uneven shards; capfd also sees what forked children
+    # write to the shared file descriptors
+    outputs = []
+    for workers in (1, 2, 3):
+        pin_workers(monkeypatch, workers)
+        code, out = run(tmp_path, f"w{workers}.csv", "verify", "--suite",
+                        "all", "--trials", str(trials), "--seed", str(seed))
+        captured = capfd.readouterr()
+        outputs.append((code, out.read_bytes(), captured.out, captured.err))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+    lines = outputs[0][2].splitlines()
+    assert len(lines) == 8 and len(set(lines)) == 8  # 7 suites and the total
+    assert lines[-1] == "total violations: 0"
+
+
+def test_verify_error_inside_a_shard_matches_one_worker(tmp_path, monkeypatch,
+                                                        capfd):
+    # no ball of radius 16 fits in a Matern window of side 20, so every
+    # trial of that suite raises, in every shard
+    outcomes = []
+    for workers in (1, 2):
+        pin_workers(monkeypatch, workers)
+        code, out = run(tmp_path, "err.csv", "verify", "--window", "20",
+                        "--trials", "4")
+        captured = capfd.readouterr()
+        outcomes.append((code, captured.out, captured.err, out.exists()))
+    assert outcomes[1] == outcomes[0]
+    code, stdout, stderr, written = outcomes[0]
+    assert code == 1 and stdout == "" and not written
+    assert stderr.startswith("error: window") and stderr.count("\n") == 1
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cellbounds.guarantees import LinkBudget, rate_scheduled
-from cellbounds.hexnet import (HexConfig, hardcore_for_reuse, hex_rate_sweep)
+from cellbounds.hexnet import hardcore_for_reuse, hex_rate_sweep
 from cellbounds.pathloss import BoundedPowerLaw
 from cellbounds.pointset import UnsupportedReuseError
 
@@ -24,17 +24,6 @@ def test_hardcore_for_reuse_values():
         hardcore_for_reuse(A_HEX, 2)
     with pytest.raises(ValueError):
         hardcore_for_reuse(0.0, 1)
-
-
-def test_hex_config_pins_vertex_user():
-    model = BoundedPowerLaw(4)
-    link = LinkBudget(1.0, 0.1, A_HEX, model)
-    cfg = HexConfig(A_HEX, 3, link)
-    assert cfg.h_k == pytest.approx(2 * math.sqrt(3.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        HexConfig(A_HEX, 3, LinkBudget(1.0, 0.1, 1.0, model))
-    with pytest.raises(UnsupportedReuseError):
-        HexConfig(A_HEX, 2, link)
 
 
 def test_scheduling_wins_at_zero_db():

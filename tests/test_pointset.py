@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from cellbounds.pointset import (HardcoreSpec, MarkedPointSet, Rect,
-                                 UnsupportedReuseError, ball_count, ball_counts,
-                                 color_lattice, from_csv, gen_matern_ii,
-                                 gen_triangular_lattice, hardcore_family,
-                                 nearest_point, to_csv, verify_hardcore)
+from cellbounds.pointset import (MarkedPointSet, Rect, UnsupportedReuseError,
+                                 ball_count, ball_counts, color_lattice,
+                                 from_csv, gen_matern_ii,
+                                 gen_triangular_lattice, nearest_index, to_csv,
+                                 verify_hardcore)
 
 A_HEX = 4 / math.sqrt(3.0)  # hexagon edge giving inter-site distance 4
 
@@ -157,26 +157,23 @@ def test_matern_near_is_full_sample_restricted(seed, intensity, radius, reach,
 def test_nearest_point_at_cell_vertex():
     ps = gen_triangular_lattice(A_HEX, Rect(-20, 20, -20, 20))
     vertex = (2.0, 4.0 * math.sqrt(3.0) / 6)
-    point, d = nearest_point(ps, vertex)
-    assert d == pytest.approx(A_HEX, rel=1e-12)
+    point = ps.points[nearest_index(ps, vertex)]
+    assert math.dist(point, vertex) == pytest.approx(A_HEX, rel=1e-12)
     assert point == pytest.approx([0.0, 0.0])  # lexicographic winner of the tie
 
 
 def test_nearest_point_exact_hit_and_tie_break():
     ps = MarkedPointSet(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 1]),
                         Rect(-2, 2, -2, 2))
-    point, d = nearest_point(ps, (1.0, 0.0))
-    assert d == 0.0
-    point, d = nearest_point(ps, (0.0, 0.0))
-    assert d == 1.0
-    assert point == pytest.approx([-1.0, 0.0])
+    assert nearest_index(ps, (1.0, 0.0)) == 0
+    assert nearest_index(ps, (0.0, 0.0)) == 1  # tie: the smaller x wins
 
 
 def test_nearest_point_empty_raises():
     empty = MarkedPointSet(np.zeros((0, 2)), np.zeros(0, dtype=int),
                            Rect(0, 1, 0, 1))
     with pytest.raises(ValueError):
-        nearest_point(empty, (0.5, 0.5))
+        nearest_index(empty, (0.5, 0.5))
 
 
 def test_ball_count_open_ball_convention():
@@ -240,14 +237,3 @@ def test_csv_round_trip():
     back = from_csv(io.StringIO(text), window=window)
     assert np.array_equal(back.points, ps.points)
     assert np.array_equal(back.marks, ps.marks)
-
-
-def test_hardcore_spec_validation():
-    with pytest.raises(ValueError):
-        HardcoreSpec(0, 1.0)
-    with pytest.raises(ValueError):
-        HardcoreSpec(3, 0.0)
-    specs = hardcore_family([(1, 2.0), (3, 2 * math.sqrt(3.0)), (4, 4.0)])
-    assert [s.k for s in specs] == [1, 3, 4]
-    with pytest.raises(ValueError):
-        hardcore_family([(1, 2.0), (3, 1.5)])
