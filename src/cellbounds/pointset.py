@@ -119,20 +119,18 @@ def gen_triangular_lattice(a: float, window: Rect) -> MarkedPointSet:
         raise ValueError("edge length must be positive")
     s = math.sqrt(3.0) * a
     row = 0.5 * math.sqrt(3.0) * s
-    j_lo = math.floor(window.ymin / row) - 1
-    j_hi = math.ceil(window.ymax / row) + 1
-    pts = []
-    ij = []
-    for j in range(j_lo, j_hi + 1):
-        y = j * row
-        off = 0.5 * s * j
-        i_lo = math.floor((window.xmin - off) / s) - 1
-        i_hi = math.ceil((window.xmax - off) / s) + 1
-        for i in range(i_lo, i_hi + 1):
-            pts.append((i * s + off, y))
-            ij.append((i, j))
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    ij = np.asarray(ij, dtype=np.int64).reshape(-1, 2)
+    j = np.arange(math.floor(window.ymin / row) - 1,
+                  math.ceil(window.ymax / row) + 2)
+    off = 0.5 * s * j
+    # row j holds the sites i = i_lo .. i_hi, in increasing i
+    i_lo = np.floor((window.xmin - off) / s).astype(np.int64) - 1
+    i_hi = np.ceil((window.xmax - off) / s).astype(np.int64) + 1
+    count = i_hi - i_lo + 1
+    first = np.cumsum(count) - count
+    i = np.arange(count.sum()) + (i_lo - first).repeat(count)
+    j = j.repeat(count)
+    pts = np.column_stack((i * s + off.repeat(count), j * row))
+    ij = np.column_stack((i, j))
     inside = window.contains(pts)
     return MarkedPointSet(pts[inside], np.ones(inside.sum(), dtype=np.int64),
                           window, num_marks=1, lattice_ij=ij[inside])

@@ -47,6 +47,37 @@ def test_lattice_tiny_window_single_site():
     assert ps.points[0] == pytest.approx([0.0, 0.0])
 
 
+def lattice_reference(a, window):
+    """Row-by-row loop over the sites i*u + j*v, in gen_triangular_lattice's
+    order, with its arithmetic."""
+    s = math.sqrt(3.0) * a
+    row = 0.5 * math.sqrt(3.0) * s
+    pts, ij = [], []
+    for j in range(math.floor(window.ymin / row) - 1,
+                   math.ceil(window.ymax / row) + 2):
+        off = 0.5 * s * j
+        for i in range(math.floor((window.xmin - off) / s) - 1,
+                       math.ceil((window.xmax - off) / s) + 2):
+            pts.append((i * s + off, j * row))
+            ij.append((i, j))
+    pts, ij = np.array(pts), np.array(ij)
+    inside = window.contains(pts)
+    return pts[inside], ij[inside]
+
+
+def test_lattice_matches_row_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a = rng.uniform(0.05, 5.0)
+        x0, y0 = rng.uniform(-100, 100, size=2)
+        w, h = rng.uniform(0.01, 60, size=2)
+        window = Rect(x0, x0 + w, y0, y0 + h)
+        pts, ij = lattice_reference(a, window)
+        ps = gen_triangular_lattice(a, window)
+        assert ps.points.tobytes() == pts.tobytes()
+        assert np.array_equal(ps.lattice_ij, ij)
+
+
 def test_lattice_minimum_distance_is_twice_h1():
     ps = gen_triangular_lattice(A_HEX, Rect(-20, 20, -20, 20))
     assert pdist(ps.points).min() == pytest.approx(4.0, rel=1e-12)
