@@ -51,11 +51,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_row(row) -> str:
+    return ",".join(map(_fmt, row))
+
+
 def _write_csv(out_path, params: dict, header: list[str], rows,
-               footer: list[str] = ()) -> None:
+               footer: list[str] = (), row_format=_csv_row) -> None:
     lines = [f"# {key} = {_fmt(val)}" for key, val in params.items()]
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(map(row_format, rows))
     lines.extend(f"# {note}" for note in footer)
     write_lines(out_path or sys.stdout, lines)
 
@@ -170,9 +174,9 @@ def cmd_verify(args) -> int:
     :func:`cellbounds.montecarlo.run_suites`); the output is the same for
     any number of processes.
     """
-    from .montecarlo import (ball_regulation_suite, check_scheduled_bound,
-                             interference_suite, lattice_factory,
-                             matern_factory, run_suites)
+    from .montecarlo import (TrialRecord, ball_regulation_suite,
+                             check_scheduled_bound, interference_suite,
+                             lattice_factory, matern_factory, run_suites)
     from .pointset import Rect
 
     if args.trials < 0:
@@ -207,14 +211,10 @@ def cmd_verify(args) -> int:
               "seed": args.seed, "alpha": args.alpha, "hardcore": h,
               "a": args.a, "intensity": args.intensity, "window": args.window,
               "lattice_half_width": args.lattice_half_width}
-    header = ["seed", "d", "t", "realized", "bound", "ratio"]
-    rows = []
-    footer = []
-    for rep in reports:
-        footer.append(rep.summary())
-        rows.extend((r.seed, r.d, r.t, r.realized, r.bound, r.ratio)
-                    for r in rep.records)
-    _write_csv(args.out, params, header, rows, footer)
+    footer = [rep.summary() for rep in reports]
+    _write_csv(args.out, params, TrialRecord.CSV_FIELDS,
+               [r for rep in reports for r in rep.records], footer,
+               TrialRecord.csv_row)
     total = sum(rep.violations for rep in reports)
     for rep in reports:
         print(rep.summary())

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,10 @@ from .bounds import exclusion_radius, hardcore_regulation_constants, interferenc
 from .guarantees import LinkBudget, theta
 from .hexnet import hardcore_for_reuse
 from .pathloss import BoundedPowerLaw, PathLossModel
-from .pointset import (MarkedPointSet, Rect, ball_counts, color_lattice,
-                       gen_matern_ii, gen_triangular_lattice, nearest_index)
+from .pointset import (GROUP_POINTS, MarkedPointSet, Rect, SampleGroup,
+                       check_matern, color_lattice, gen_matern_ii,
+                       gen_triangular_lattice, matern_groups, nearest_index,
+                       sq_dists)
 
 VIOLATION_REL_TOL = 1e-12
 
@@ -46,11 +48,19 @@ class TrialRecord:
     realized: float
     bound: float
 
+    CSV_FIELDS: ClassVar[tuple[str, ...]] = ("seed", "d", "t", "realized",
+                                             "bound", "ratio")
+
     @property
     def ratio(self) -> float:
         if self.bound == 0:
             return 0.0 if self.realized == 0 else math.inf
         return self.realized / self.bound
+
+    def csv_row(self) -> str:
+        """The record as a CSV row of its ``CSV_FIELDS``."""
+        return (f"{self.seed},{self.d:.12g},{self.t:.12g},{self.realized:.12g},"
+                f"{self.bound:.12g},{self.ratio:.12g}")
 
 
 @dataclass
@@ -75,11 +85,8 @@ class VerificationReport:
 
     def write_csv(self, path_or_file) -> None:
         """Records as CSV with header ``seed,d,t,realized,bound,ratio``."""
-        lines = ["seed,d,t,realized,bound,ratio"]
-        for r in self.records:
-            lines.append(f"{r.seed},{r.d:.12g},{r.t:.12g},{r.realized:.12g},"
-                         f"{r.bound:.12g},{r.ratio:.12g}")
-        write_lines(path_or_file, lines)
+        write_lines(path_or_file, [",".join(TrialRecord.CSV_FIELDS),
+                                   *map(TrialRecord.csv_row, self.records)])
 
 
 def _violates(r: TrialRecord) -> bool:
@@ -110,12 +117,17 @@ def matern_factory(intensity: float, hardcore_radius: float, window: Rect):
 
     ``make(seed, near=(center, reach))`` gives only the part of the sample
     within ``reach`` of ``center`` (see :func:`gen_matern_ii`);
-    ``make.window`` is the sampling window.
+    ``make.window`` is the sampling window, and ``make.groups(draws)``
+    gives the samples of ``(seed, near)`` pairs a group at a time (see
+    :func:`cellbounds.pointset.matern_groups`).
     """
+    check_matern(intensity, hardcore_radius)
+
     def make(seed: int, near=None) -> MarkedPointSet:
         return gen_matern_ii(intensity, hardcore_radius, window, seed,
                              near=near)
     make.window = window
+    make.groups = partial(matern_groups, intensity, hardcore_radius, window)
     return make
 
 
@@ -140,7 +152,7 @@ def _attenuated_sum(model: PathLossModel, points: np.ndarray, origin,
                     exclude: int = -1) -> float:
     if isinstance(model, BoundedPowerLaw):
         return kernels.bounded_power_law_sum(points, origin, model.alpha, exclude)
-    d = np.sqrt(((points - np.asarray(origin, dtype=float)) ** 2).sum(axis=1))
+    d = np.sqrt(sq_dists(points, np.asarray(origin, dtype=float)))
     att = model.eval(d)
     total = float(att.sum())
     if 0 <= exclude < len(att):
@@ -230,22 +242,63 @@ def ball_regulation_suite(factory, h: float, r_grid, trials: int,
                  partial(_ball_records, factory, r_grid, bounds, seed))
 
 
+def _point_set_groups(point_sets) -> Iterator[SampleGroup]:
+    """The point sets, concatenated in groups of about GROUP_POINTS points."""
+    batch = []
+    held = 0
+    for ps in point_sets:
+        batch.append(ps.points)
+        held += len(ps)
+        if held >= GROUP_POINTS:
+            yield SampleGroup.of(np.concatenate(batch), [len(p) for p in batch])
+            batch = []
+            held = 0
+    if batch:
+        yield SampleGroup.of(np.concatenate(batch), [len(p) for p in batch])
+
+
+def _sample_groups(factory, seeds: list[int], locate, near=None):
+    """The factory's samples of ``seeds`` in groups, and their points.
+
+    ``locate(window, k)`` gives the point of sample ``k`` (a ball center
+    or a user) from its sampling window; the returned list holds it for
+    every sample of a group by the time the group is yielded.  A factory
+    with ``groups`` (see :func:`matern_factory`) draws and thins its
+    samples a group at a time, each restricted to ``near(point)`` if
+    ``near`` is given.  Any other factory is called with each seed in
+    turn, and its point sets are concatenated into groups.
+    """
+    points = []
+    if hasattr(factory, "groups"):
+        points.extend(locate(factory.window, k) for k in range(len(seeds)))
+        return factory.groups(
+            (seed, None if near is None else near(point))
+            for seed, point in zip(seeds, points)), points
+
+    def point_sets():
+        for k, seed in enumerate(seeds):
+            ps = factory(seed)
+            points.append(locate(ps.window, k))
+            yield ps
+    return _point_set_groups(point_sets()), points
+
+
 def _ball_records(factory, r_grid: list[float], bounds: list[float],
                   seed: int, trials: range):
     records: list[TrialRecord] = []
     r_max = max(r_grid)
-    window = getattr(factory, "window", None)
-    for i in trials:
-        tseed = trial_seed(seed, i)
-        if window is None:
-            ps = factory(tseed)
-            center = _ball_center(ps.window, r_max, seed, i)
-        else:
-            center = _ball_center(window, r_max, seed, i)
-            ps = factory(tseed, near=(center, r_max))
-        counts = ball_counts(ps, center, r_grid)
-        records.extend(TrialRecord(tseed, r, r, float(count), bound)
-                       for r, count, bound in zip(r_grid, counts, bounds))
+    seeds = [trial_seed(seed, i) for i in trials]
+    groups, centers = _sample_groups(
+        factory, seeds,
+        lambda window, k: _ball_center(window, r_max, seed, trials[k]),
+        lambda center: (center, r_max))
+    done = 0
+    for group in groups:
+        counts = group.ball_counts(centers[done:done + len(group)], r_grid)
+        for tseed, row in zip(seeds[done:], counts):
+            records.extend(TrialRecord(tseed, r, r, float(count), bound)
+                           for r, count, bound in zip(r_grid, row, bounds))
+        done += len(group)
     return records, 0
 
 
@@ -254,10 +307,11 @@ def check_ball_regulation(factory, h: float, r_grid, trials: int,
     """Counts in random balls never exceed 1 + rho_h R + nu_h R^2.
 
     Ball centers are drawn uniformly over the window shrunk by max(R), so
-    each checked ball lies fully inside the window.  A factory that exposes
-    its sampling ``window`` (see :func:`matern_factory`) is asked only for
-    the points within max(R) of the center; any other factory is called
-    with the seed alone.  The records are the same either way.
+    each checked ball lies fully inside the window.  A factory that draws
+    its samples in groups (see :func:`matern_factory`) is asked only for
+    the points within max(R) of each center; any other factory is called
+    with the seed alone.  The records are the same either way.  The balls
+    of a group of samples are counted in one pass.
     """
     return ball_regulation_suite(factory, h, r_grid, trials, seed).run()
 
@@ -273,19 +327,24 @@ def _interference_records(factory, h: float, model: PathLossModel, seed: int,
                           trials: range):
     records: list[TrialRecord] = []
     skipped = 0
-    for i in trials:
-        tseed = trial_seed(seed, i)
-        ps = factory(tseed)
-        if len(ps) == 0:
-            skipped += 1
-            continue
-        user = ps.window.center
-        i0 = nearest_index(ps, user)
-        d = float(np.sqrt(((ps.points[i0] - user) ** 2).sum()))
-        t = exclusion_radius(d, h)
-        realized = _attenuated_sum(model, ps.points, user, exclude=i0)
-        bound = interference_bound(model, h, d)
-        records.append(TrialRecord(tseed, d, t, realized, bound))
+    seeds = [trial_seed(seed, i) for i in trials]
+    groups, users = _sample_groups(factory, seeds,
+                                   lambda window, k: window.center)
+    done = 0
+    for group in groups:
+        nearest, d2 = group.nearest(users[done:done + len(group)])
+        for k, i0 in enumerate(nearest):
+            if i0 < 0:
+                skipped += 1
+                continue
+            first, stop = group.starts[k], group.starts[k + 1]
+            d = math.sqrt(d2[i0])
+            realized = _attenuated_sum(model, group.points[first:stop],
+                                       users[done + k], exclude=i0 - first)
+            bound = interference_bound(model, h, d)
+            records.append(TrialRecord(seeds[done + k], d,
+                                       exclusion_radius(d, h), realized, bound))
+        done += len(group)
     return records, skipped
 
 
@@ -322,7 +381,7 @@ def check_scheduled_bound(a: float, k: int, model: PathLossModel,
     d_by_mark: dict[int, float] = {}
     for mark in range(1, k + 1):
         idx = nearest_index(lattice, user, mark=mark)
-        d_m = float(np.sqrt(((lattice.points[idx] - user) ** 2).sum()))
+        d_m = math.sqrt(sq_dists(lattice.points[idx:idx + 1], user)[0])
         sel = np.flatnonzero(lattice.marks == mark)
         local_excl = int(np.flatnonzero(sel == idx)[0])
         realized = _attenuated_sum(model, lattice.points[sel], user,

@@ -176,6 +176,9 @@ def test_verify_negative_trials_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("bound-compare", "--alpha", "nan"),
     ("rate-vs-hk", "--hardcore", "nan"),
+    ("verify", "--window", "inf"),
+    ("verify", "--lattice-half-width", "inf"),
+    ("verify", "--intensity", "nan"),
 ])
 def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv):
     code, out = run(tmp_path, "nan.csv", *argv)

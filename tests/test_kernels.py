@@ -254,3 +254,77 @@ def test_wrappers_validate_lengths():
         kernels.matern_keep_mask(pts, np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         kernels.min_same_mark_sq_dist(pts, np.ones(4))
+
+
+def labelled_clouds():
+    """Clouds on overlapping squares, with their sizes: an empty one, a
+    one-point one whose point repeats a point of another cloud, and equal
+    ages across clouds."""
+    rng = np.random.default_rng(31)
+    clouds = []
+    for n in (120, 0, 1, 80, 200):
+        pts = rng.uniform(-10, 30, size=(n, 2))
+        ages = np.floor(rng.random(n) * 4) / 4
+        clouds.append((pts, ages))
+    clouds[2] = (clouds[0][0][:1].copy(), np.zeros(1))
+    return clouds
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2, 3, 4], [3, 0, 4, 2, 1],
+                                    [7, 2, 11, 0, 5]])
+@pytest.mark.parametrize("interleave", [False, True])
+def test_labelled_clouds_thin_as_separate_calls(labels, interleave):
+    clouds = labelled_clouds()
+    pts = np.vstack([p for p, _ in clouds])
+    ages = np.concatenate([a for _, a in clouds])
+    cloud = np.repeat(labels, [len(p) for p, _ in clouds])
+    order = np.arange(len(pts))
+    if interleave:  # shuffled, but each cloud keeps the order of its points
+        order = np.random.default_rng(5).permutation(len(pts))
+        for lab in labels:
+            mine = cloud[order] == lab
+            order[mine] = np.sort(order[mine])
+    mask = kernels.matern_keep_mask(pts[order], ages[order], 6.0,
+                                    cloud[order])
+    expected = np.concatenate([kernels.matern_keep_mask(p, a, 6.0)
+                               for p, a in clouds])
+    assert np.array_equal(mask, expected[order])
+    assert not np.array_equal(kernels.matern_keep_mask(pts, ages, 6.0),
+                              expected)
+
+
+def test_many_labels_widen_the_cells_without_changing_masks(monkeypatch):
+    clouds = [random_cloud(30, seed=40 + k)[:2] for k in range(40)]
+    pts = np.vstack([p for p, _ in clouds])
+    ages = np.concatenate([a for _, a in clouds])
+    cloud = np.arange(len(clouds)).repeat(30)
+    expected = np.concatenate([kernels.matern_keep_mask(p, a, 5.0)
+                               for p, a in clouds])
+    for blocks in (1, 8, 100):
+        monkeypatch.setattr(kernels, "_LABEL_BLOCKS", blocks)
+        assert np.array_equal(
+            kernels.matern_keep_mask(pts, ages, 5.0, cloud), expected)
+    # labels far above the number of points are renumbered first
+    assert np.array_equal(
+        kernels.matern_keep_mask(pts, ages, 5.0, cloud * 10 ** 12), expected)
+
+
+def test_cloud_labels_are_validated():
+    pts, ages, _ = random_cloud(5, seed=3)
+    for bad in ([0, 1, -1, 0, 0], [0.0, 1.0, 1.0, 0.0, 0.0], [0, 1, 2]):
+        with pytest.raises(ValueError):
+            kernels.matern_keep_mask(pts, ages, 1.0, np.array(bad))
+    assert kernels.matern_keep_mask(np.zeros((0, 2)), [], 1.0,
+                                    np.zeros(0, dtype=int)).shape == (0,)
+
+
+def test_labels_past_the_int64_range_are_renumbered():
+    pts, ages, _ = random_cloud(60, seed=9)
+    halves = np.arange(60) % 2
+    expected = np.empty(60, dtype=bool)
+    for lab in (0, 1):
+        expected[halves == lab] = kernels.matern_keep_mask(
+            pts[halves == lab], ages[halves == lab], 8.0)
+    huge = np.where(halves == 1, np.uint64(2 ** 64 - 1), np.uint64(5))
+    assert np.array_equal(kernels.matern_keep_mask(pts, ages, 8.0, huge),
+                          expected)

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from cellbounds import pointset
 from cellbounds.bounds import interference_bound
 from cellbounds.montecarlo import (ConfigurationError, TrialRecord, _finalize,
+                                   ball_regulation_suite,
                                    check_ball_regulation,
                                    check_interference_bound,
-                                   check_scheduled_bound, lattice_factory,
-                                   matern_factory, trial_seed, vertex_window)
+                                   check_scheduled_bound, interference_suite,
+                                   lattice_factory, matern_factory, trial_seed,
+                                   vertex_window)
 from cellbounds.pathloss import BoundedPowerLaw
 from cellbounds.pointset import Rect
 
@@ -174,6 +177,26 @@ def test_matern_ball_check_local_path_matches_full_samples():
                                  trials=40, seed=21)
     assert local.records == full.records
     assert sum(r.realized for r in local.records) > 0
+
+
+@pytest.mark.parametrize("intensity, budget", [(0.1, 2000), (0.1, 1),
+                                               (1.2e-4, 3)])
+def test_grouped_suites_match_plain_factory(monkeypatch, intensity, budget):
+    # budget 2000 puts about two full samples or a dozen local ones in a
+    # group; at intensity 1.2e-4 a sample holds about one point, so some
+    # groups hold an empty sample
+    monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
+    factory = matern_factory(intensity, 4.0, Rect(0, 100, 0, 100))
+    plain = lambda s: factory(s)  # noqa: E731
+    skipped = 0
+    for make_suite in (
+            lambda f: ball_regulation_suite(f, 2.0, R_GRID, 30, 21),
+            lambda f: interference_suite(f, 2.0, MODEL, 30, 21)):
+        grouped, direct = make_suite(factory), make_suite(plain)
+        for a, b in [(0, 30), (1, 4), (3, 30), (5, 6), (7, 7), (11, 29)]:
+            assert grouped.records(range(a, b)) == direct.records(range(a, b))
+        skipped += grouped.records(range(30))[1]
+    assert (skipped > 0) == (intensity < 0.01)
 
 
 def test_matern_ball_check_window_too_small():

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from cellbounds.pointset import (MarkedPointSet, Rect, UnsupportedReuseError,
-                                 ball_count, ball_counts, color_lattice,
-                                 from_csv, gen_matern_ii,
-                                 gen_triangular_lattice, nearest_index, to_csv,
-                                 verify_hardcore)
+from cellbounds import pointset
+from cellbounds.pointset import (MarkedPointSet, Rect, SampleGroup,
+                                 UnsupportedReuseError, ball_count,
+                                 ball_counts, color_lattice, from_csv,
+                                 gen_matern_ii, gen_triangular_lattice,
+                                 matern_groups, nearest_index, sq_dists,
+                                 to_csv, verify_hardcore)
 
 A_HEX = 4 / math.sqrt(3.0)  # hexagon edge giving inter-site distance 4
 
@@ -268,3 +270,76 @@ def test_csv_round_trip():
     back = from_csv(io.StringIO(text), window=window)
     assert np.array_equal(back.points, ps.points)
     assert np.array_equal(back.marks, ps.marks)
+
+
+@pytest.mark.parametrize("bounds", [(0, math.inf, 0, 1), (-math.inf, 0, 0, 1),
+                                    (0, 1, math.nan, 1), (0, 1, 0, math.nan)])
+def test_rect_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        Rect(*bounds)
+    with pytest.raises(ValueError, match="finite"):
+        Rect.square((0.0, 0.0), math.inf)
+
+
+@pytest.mark.parametrize("intensity, radius", [(math.nan, 4.0),
+                                               (math.inf, 4.0),
+                                               (0.1, math.nan)])
+def test_matern_rejects_non_finite_parameters(intensity, radius):
+    with pytest.raises(ValueError, match="finite"):
+        gen_matern_ii(intensity, radius, Rect(0, 10, 0, 10), 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sq_dists_equal_the_summed_squares(seed):
+    # integer coordinates give exact ties; the centers sit on, between and
+    # off the points, at negative coordinates too
+    rng = np.random.default_rng(seed)
+    clouds = [rng.uniform(-50, 50, size=(300, 2)),
+              rng.integers(-6, 7, size=(300, 2)).astype(float)]
+    for pts in clouds:
+        for center in (pts[7], (-3.0, 2.0), (-0.1, -17.25), (1e-8, 3.5)):
+            ctr = np.asarray(center, dtype=float)
+            assert np.array_equal(sq_dists(pts, ctr),
+                                  ((pts - ctr) ** 2).sum(axis=1))
+            assert np.array_equal(sq_dists(pts[7:8], ctr)[0],
+                                  ((pts[7] - ctr) ** 2).sum())
+
+
+def test_sample_group_queries_match_single_sets():
+    rng = np.random.default_rng(3)
+    sets = [rng.integers(-5, 6, size=(n, 2)).astype(float)
+            for n in (40, 0, 1, 25, 60)]
+    centers = [(0.0, 0.0), (1.0, 1.0), (-2.0, 3.0), (0.5, -1.0), (2.0, 2.0)]
+    group = SampleGroup.of(np.concatenate(sets), [len(p) for p in sets])
+    radii = [0.0, 1.5, 3.0, 20.0]
+    nearest, d2 = group.nearest(centers)
+    counts = group.ball_counts(centers, radii)
+    for k, (pts, center) in enumerate(zip(sets, centers)):
+        ps = MarkedPointSet(pts, np.ones(len(pts), dtype=int),
+                            Rect(-6, 6, -6, 6))
+        first = group.starts[k]
+        assert np.array_equal(group.points[first:first + len(pts)], pts)
+        expected = [sum(math.dist(p, center) < r for p in pts) for r in radii]
+        assert counts[k] == ball_counts(ps, center, radii) == expected
+        if len(pts):
+            assert nearest[k] - first == nearest_index(ps, center)
+            assert d2[nearest[k]] == min(((pts - center) ** 2).sum(axis=1))
+        else:
+            assert nearest[k] == -1
+
+
+def test_matern_groups_equal_gen_matern_ii(monkeypatch):
+    window = Rect(0, 60, 0, 60)
+    draws = [(seed, None if seed % 3 else ((20.0 + seed, 30.0), 12.0))
+             for seed in range(12)]
+    expected = [gen_matern_ii(0.1, 4.0, window, seed, near=near).points
+                for seed, near in draws]
+    for budget in (1, 500, 10 ** 6):
+        monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
+        groups = list(matern_groups(0.1, 4.0, window, draws))
+        assert sum(len(group) for group in groups) == len(draws)
+        got = [group.points[group.starts[k]:group.starts[k + 1]]
+               for group in groups for k in range(len(group))]
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        if budget == 10 ** 6:
+            assert len(groups) == 1
