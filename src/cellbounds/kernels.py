@@ -12,6 +12,14 @@ cell id, so points of different samples are never paired, and the fixed
 cost of a call (about 90 us) is paid once per group of samples instead
 of once per sample.  :func:`cellbounds.pointset.matern_groups` fills
 each group up to a budget of Poisson points.
+
+A call writes few pages, and later batches and calls write the same ones:
+it keeps the sort order and the bounds of each point's two runs (in 32
+bits where n allows), takes the coordinates from the caller's array
+instead of a sorted copy, and tests candidate pairs in batches whose
+arrays stay far below glibc's 128 KiB mmap threshold.  Arrays above it are mapped afresh each
+time, one page fault per 4 KiB, and a forked ``verify`` worker pays a
+copy on its first write to each page it shares with its parent.
 """
 
 from __future__ import annotations
@@ -32,20 +40,26 @@ _MAX_CELLS_PER_AXIS = 2 ** 20
 # (about 25 labels, 4,000 points over a 108 x 108 window) then keeps cells
 # of the search radius, about 5 cells per point in all.
 _LABEL_BLOCKS = 8
-# Candidate pairs tested at once.  A batch's arrays, about 1 MB in all, fit
-# in a core's L2 cache, which makes 16.6k-point samples about a quarter
-# faster than one batch does.
-_BATCH = 1 << 14
+# Candidate pairs tested at once.  A batch's largest array, the coordinate
+# differences, takes 64 KiB, so the allocator reuses the heap pages the
+# batch before freed.  At 1 << 14 each of about ten arrays took exactly
+# 128 KiB, glibc's mmap threshold, and a warm `verify --trials 100` took
+# about 10,400 page faults where this size takes tens; 1 << 11 faults as
+# seldom but makes verify-acceptance slower.
+_BATCH = 1 << 12
 
 
 def _points(points) -> np.ndarray:
-    return np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    # contiguous rows, so that taking rows never copies the whole array
+    return np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 2)
 
 
 def _sq_dist(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    dx = pts[i, 0] - pts[j, 0]
-    dy = pts[i, 1] - pts[j, 1]
-    return dx * dx + dy * dy
+    """``dx*dx + dy*dy`` between the points ``i`` and ``j``."""
+    d = pts.take(i, axis=0)
+    d -= pts.take(j, axis=0)
+    d *= d
+    return d[:, 0] + d[:, 1]
 
 
 def _extent(pts: np.ndarray):
@@ -58,30 +72,17 @@ def _extent(pts: np.ndarray):
     return xmin, ymin, width, height
 
 
-def _close_pairs(pts: np.ndarray, radius: float, cloud=None):
-    """Index arrays ``(i, j)`` of the pairs of points closer than radius.
+def _cell_runs(pts: np.ndarray, radius: float, cloud, index):
+    """The order that sorts the points into cells, and the bounds of two
+    runs of sorted positions per point (see :func:`_close_pairs`).
 
-    Yields the pairs in batches: each unordered pair with
-    ``dx*dx + dy*dy < radius*radius`` appears once, in either orientation.
-    The points are sorted into square cells of side at least ``radius``,
-    so a close pair lies in one cell or in two adjacent ones; each point
-    is paired with the later points of its own cell and with the points of
-    the cell above it and of the three cells of the next column.  The side
-    grows for clouds sparse relative to the radius, so that there are
-    never more than about 3n cells.  Candidate pairs are tested in batches
-    of about ``_BATCH``, so memory stays bounded even where many points
-    share a cell (a tight cluster far from other points); the time then
-    grows with the square of the cluster's size.
-
-    ``cloud``, an array of integer labels in ``0..n-1``, one per point,
-    gives each label a block of cells of its own, so that only points of
-    the same label are paired.  Up to ``_LABEL_BLOCKS`` labels share the
-    cell budget of one cloud; more labels widen the cells, keeping the
-    total at about ``3 * _LABEL_BLOCKS`` cells per point.
+    Returns ``order, own_end, next_begin, next_end``: the point at sorted
+    position ``p`` is paired with positions ``p + 1`` to ``own_end[p]``,
+    the later points of its own cell and the cell above, and with
+    positions ``next_begin[p]`` to ``next_end[p]``, the three cells of the
+    next column (ends exclusive).
     """
     n = pts.shape[0]
-    if n < 2 or not radius > 0:
-        return
     xmin, ymin, width, height = _extent(pts)
     labels = 1 if cloud is None else int(cloud.max()) + 1
     # each sparse term bounds the cells of all the labels' blocks together
@@ -95,44 +96,78 @@ def _close_pairs(pts: np.ndarray, radius: float, cloud=None):
     rows = int(height / side) + 2
     block = (int(width / side) + 2) * rows
     cells = block * labels
-    col_row = ((pts - (xmin, ymin)) / side).astype(np.intp)
-    cell = col_row[:, 0] * rows
-    cell += col_row[:, 1]
+    cell = ((pts[:, 0] - xmin) / side).astype(np.intp)
+    cell *= rows
+    cell += ((pts[:, 1] - ymin) / side).astype(np.intp)
     if cloud is not None:
         cell += cloud * block
     order = cell.argsort()
     cell = cell.take(order)
-    start = np.zeros(cells + 1, dtype=np.intp)
+    start = np.zeros(cells + 1, dtype=index)
     np.cumsum(np.bincount(cell, minlength=cells), out=start[1:])
-    # two runs of sorted positions per point: the later points of its own
-    # cell followed by the cell above, and the three cells of the next column
-    pos = np.arange(n + 1)
-    owner = np.concatenate((pos[:n], pos[:n]))
-    begin = np.concatenate((pos[1:], start.take(cell + (rows - 1))))
-    length = start.take(cell + np.array([[2], [rows + 2]])).ravel()
-    length -= begin
-    # candidate k, counted over all runs, lies in run r at sorted position
-    # begin[r] + k - first[r], first[r] counting the candidates before run r
-    ends = np.cumsum(length)
-    first = ends - length
-    begin -= first
-    x, y = pts[:, 0].take(order), pts[:, 1].take(order)
-    # each batch is a range of whole runs
+    return (order, start.take(cell + 2), start.take(cell + (rows - 1)),
+            start.take(cell + (rows + 2)))
+
+
+def _close_pairs(pts: np.ndarray, radius: float, cloud=None):
+    """Index arrays ``(i, j)`` of the pairs of points closer than radius.
+
+    Yields the pairs in batches: each unordered pair with
+    ``dx*dx + dy*dy < radius*radius`` appears once, in either orientation.
+    The points are sorted into square cells of side at least ``radius``,
+    so a close pair lies in one cell or in two adjacent ones; each point
+    is paired with the later points of its own cell and with the points of
+    the cell above it and of the three cells of the next column.  The side
+    grows for clouds sparse relative to the radius, so that there are
+    never more than about 3n cells.
+
+    Candidate pairs are tested in batches of about ``_BATCH``, so each
+    batch's arrays are a few pages that the next batch, and the next call,
+    write again.  Memory stays bounded even where many points share a cell
+    (a tight cluster far from other points); the time then grows with the
+    square of the cluster's size.
+
+    ``cloud``, an array of integer labels in ``0..n-1``, one per point,
+    gives each label a block of cells of its own, so that only points of
+    the same label are paired.  Up to ``_LABEL_BLOCKS`` labels share the
+    cell budget of one cloud; more labels widen the cells, keeping the
+    total at about ``3 * _LABEL_BLOCKS`` cells per point.
+    """
+    n = pts.shape[0]
+    if n < 2 or not radius > 0:
+        return
+    # sorted positions, and offsets of under a batch from them, fit in 32
+    # bits unless n is huge
+    index = np.int32 if 2 * n + _BATCH < 2 ** 31 else np.intp
+    order, own_end, next_begin, next_end = _cell_runs(pts, radius, cloud,
+                                                      index)
+    for begin, length in ((np.arange(1, n + 1, dtype=index), own_end),
+                          (next_begin, next_end)):
+        length -= begin
+        for lo, hi in _batch_cuts(length):
+            count = length[lo:hi]
+            i = order[lo:hi].repeat(count)
+            # candidate k of the batch lies in the run of point p at sorted
+            # position k - skew[p], skew[p] counting the batch's candidates
+            # before that run less begin[p]
+            skew = np.cumsum(count, dtype=index)
+            skew -= count
+            skew -= begin[lo:hi]
+            j = np.arange(i.shape[0], dtype=index)
+            j -= skew.repeat(count)
+            j = order.take(j)
+            close = _sq_dist(pts, i, j) < radius * radius
+            i, j = i.compress(close), j.compress(close)
+            yield i, j
+
+
+def _batch_cuts(length: np.ndarray):
+    """Consecutive ``(lo, hi)`` ranges of runs of the given lengths, each
+    with about ``_BATCH`` candidates or a single longer run."""
+    ends = np.cumsum(length, dtype=np.int64)
     cuts = np.searchsorted(ends, np.arange(_BATCH, ends[-1], _BATCH))
-    cuts = [0, *cuts.tolist(), 2 * n]
-    for lo, hi in zip(cuts, cuts[1:]):
-        src = owner[lo:hi].repeat(length[lo:hi])
-        dst = begin[lo:hi].repeat(length[lo:hi])
-        dst += np.arange(first[lo], first[lo] + dst.shape[0])
-        dx = x.take(src)
-        dx -= x.take(dst)
-        dy = y.take(src)
-        dy -= y.take(dst)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        close = dx < radius * radius
-        yield order.take(src.compress(close)), order.take(dst.compress(close))
+    cuts = sorted({0, length.shape[0], *cuts.tolist()})
+    return zip(cuts, cuts[1:])
 
 
 def matern_keep_mask(points, ages, radius: float, cloud=None) -> np.ndarray:

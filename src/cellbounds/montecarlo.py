@@ -27,9 +27,9 @@ from .guarantees import LinkBudget, theta
 from .hexnet import hardcore_for_reuse
 from .pathloss import BoundedPowerLaw, PathLossModel
 from .pointset import (GROUP_POINTS, MarkedPointSet, Rect, SampleGroup,
-                       check_matern, color_lattice, gen_matern_ii,
-                       gen_triangular_lattice, matern_groups, nearest_index,
-                       sq_dists)
+                       ball_counts_around, check_matern, color_lattice,
+                       gen_matern_ii, gen_triangular_lattice, matern_groups,
+                       nearest_index, sq_dists)
 
 VIOLATION_REL_TOL = 1e-12
 
@@ -139,12 +139,16 @@ def vertex_window(a: float, half_width: float) -> Rect:
 
 
 def lattice_factory(a: float, half_width: float, k: int = 1):
-    """Factory of the (deterministic) colored lattice on a vertex-centered window."""
+    """Factory of the (deterministic) colored lattice on a vertex-centered window.
+
+    Every seed gives the same point set, ``make.point_set``.
+    """
     window = vertex_window(a, half_width)
     lattice = color_lattice(gen_triangular_lattice(a, window), k)
 
     def make(seed: int) -> MarkedPointSet:
         return lattice
+    make.point_set = lattice
     return make
 
 
@@ -285,20 +289,26 @@ def _sample_groups(factory, seeds: list[int], locate, near=None):
 
 def _ball_records(factory, r_grid: list[float], bounds: list[float],
                   seed: int, trials: range):
-    records: list[TrialRecord] = []
     r_max = max(r_grid)
     seeds = [trial_seed(seed, i) for i in trials]
-    groups, centers = _sample_groups(
-        factory, seeds,
-        lambda window, k: _ball_center(window, r_max, seed, trials[k]),
-        lambda center: (center, r_max))
-    done = 0
-    for group in groups:
-        counts = group.ball_counts(centers[done:done + len(group)], r_grid)
-        for tseed, row in zip(seeds[done:], counts):
-            records.extend(TrialRecord(tseed, r, r, float(count), bound)
-                           for r, count, bound in zip(r_grid, row, bounds))
-        done += len(group)
+    fixed = getattr(factory, "point_set", None)
+    if fixed is not None:  # every trial's balls on the one point set
+        counts = ball_counts_around(
+            fixed.points,
+            [_ball_center(fixed.window, r_max, seed, i) for i in trials],
+            r_grid)
+    else:
+        groups, centers = _sample_groups(
+            factory, seeds,
+            lambda window, k: _ball_center(window, r_max, seed, trials[k]),
+            lambda center: (center, r_max))
+        counts = []
+        for group in groups:
+            counts += group.ball_counts(
+                centers[len(counts):len(counts) + len(group)], r_grid)
+    records = [TrialRecord(tseed, r, r, float(count), bound)
+               for tseed, row in zip(seeds, counts)
+               for r, count, bound in zip(r_grid, row, bounds)]
     return records, 0
 
 
@@ -309,9 +319,11 @@ def check_ball_regulation(factory, h: float, r_grid, trials: int,
     Ball centers are drawn uniformly over the window shrunk by max(R), so
     each checked ball lies fully inside the window.  A factory that draws
     its samples in groups (see :func:`matern_factory`) is asked only for
-    the points within max(R) of each center; any other factory is called
-    with the seed alone.  The records are the same either way.  The balls
-    of a group of samples are counted in one pass.
+    the points within max(R) of each center; a factory with one
+    ``point_set`` for every seed (see :func:`lattice_factory`) is not
+    called; any other factory is called with the seed alone.  The records
+    are the same either way.  The balls of a group of samples, or of
+    several centers on the one point set, are counted in one pass.
     """
     return ball_regulation_suite(factory, h, r_grid, trials, seed).run()
 

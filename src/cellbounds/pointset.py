@@ -37,7 +37,8 @@ _REACH_SLACK = 1e-9
 # samples at the verify defaults, or 25 of the ball suite's local ones.
 # The call's fixed cost, about 90 us, is then paid once per group.  A
 # budget of 16,000 made `verify` faster still, but added 2.3 MB to its
-# peak memory where this one adds about 1 MB.
+# peak memory where this one adds about 1 MB.  ball_counts_around computes
+# about as many distances per pass.
 GROUP_POINTS = 4000
 
 
@@ -176,9 +177,10 @@ def color_lattice(lattice: MarkedPointSet, k: int) -> MarkedPointSet:
 def sq_dists(points: np.ndarray, center) -> np.ndarray:
     """``dx*dx + dy*dy`` from ``center`` to each row of ``points``.
 
-    Each coordinate of the center is a number or an array with one entry
-    per point.  The values equal ``((points - center) ** 2).sum(axis=1)``
-    bit for bit.
+    Each coordinate of the center is a number, an array with one entry
+    per point, or a column of several centers' coordinates, which gives a
+    row of distances per center.  The values equal
+    ``((points - center) ** 2).sum(axis=1)`` bit for bit.
     """
     dx = points[:, 0] - center[0]
     dy = points[:, 1] - center[1]
@@ -215,14 +217,11 @@ class SampleGroup(NamedTuple):
     def ball_counts(self, centers, radii) -> list[list[int]]:
         """Per sample, the numbers of its points in the open balls
         b(center, r) around its center, one per radius r."""
-        radii = [float(r) for r in radii]
-        if any(r < 0 for r in radii):
-            raise ValueError("radius must be non-negative")
+        limits = _squared_limits(radii)
         d2 = self.sq_dists(centers)
-        counts = np.zeros((len(radii), len(self)), dtype=np.intp)
-        for row, r in zip(counts, radii):
-            threshold = r * (1.0 - _REL_SLACK)
-            row += np.bincount(self.label.compress(d2 < threshold * threshold),
+        counts = np.zeros((len(limits), len(self)), dtype=np.intp)
+        for row, limit in zip(counts, limits):
+            row += np.bincount(self.label.compress(d2 < limit),
                                minlength=len(self))
         return counts.T.tolist()
 
@@ -235,6 +234,37 @@ class SampleGroup(NamedTuple):
         return [first + _nearest(self.points[first:stop], d2[first:stop])
                 if stop > first else -1
                 for first, stop in zip(bounds, bounds[1:])], d2
+
+
+def _squared_limits(radii) -> list[float]:
+    """Per radius r, the bound below which a squared distance lies in the
+    open ball of radius r."""
+    radii = [float(r) for r in radii]
+    if any(r < 0 for r in radii):
+        raise ValueError("radius must be non-negative")
+    return [t * t for t in (r * (1.0 - _REL_SLACK) for r in radii)]
+
+
+def ball_counts_around(points: np.ndarray, centers,
+                       radii) -> list[list[int]]:
+    """Per center, the numbers of ``points`` in the open balls b(center, r)
+    around it, one per radius r.
+
+    One point set serves every center, as a lattice serves every trial:
+    the distances from a few centers at a time, about ``GROUP_POINTS`` of
+    them, are computed in one pass, and the points are never copied.
+    """
+    limits = _squared_limits(radii)
+    ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
+    step = max(1, GROUP_POINTS // max(len(points), 1))
+    counts = np.zeros((len(ctr), len(limits)), dtype=np.intp)
+    for first in range(0, len(ctr), step):
+        near = ctr[first:first + step]
+        d2 = sq_dists(points, (near[:, :1], near[:, 1:]))
+        for k, limit in enumerate(limits):
+            counts[first:first + step, k] = np.count_nonzero(d2 < limit,
+                                                             axis=1)
+    return counts.tolist()
 
 
 def _nearest(points: np.ndarray, d2: np.ndarray) -> int:
@@ -380,7 +410,7 @@ def ball_counts(ps: MarkedPointSet, center, radii,
                 mark: int | None = None) -> list[int]:
     """Numbers of points in the open balls b(center, r), one per radius r."""
     pts = ps.points if mark is None else ps.points[ps.marks == mark]
-    return SampleGroup.of(pts, [len(pts)]).ball_counts([center], radii)[0]
+    return ball_counts_around(pts, [center], radii)[0]
 
 
 def ball_count(ps: MarkedPointSet, center, radius: float,

@@ -1,4 +1,8 @@
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,16 +186,61 @@ def test_widely_spread_cloud_needs_no_dense_grid(height):
     assert best == smallest
 
 
-@pytest.mark.parametrize("batch", [1, 7, 100])
+@pytest.mark.parametrize("batch", [1, 7, 100, kernels._BATCH, 1 << 14])
 def test_batches_leave_results_unchanged(batch, monkeypatch):
-    pts, ages, marks = random_cloud(300, seed=21)
-    expected_mask = kernels.matern_keep_mask(pts, ages, 6.0)
-    expected_min = kernels.min_same_mark_sq_dist(pts, marks)
+    # two samples of 200 points on one 30 x 30 square, thinned at r = 10:
+    # about 48k candidate pairs unlabelled and 24k labelled, so batches of
+    # each size cut through the runs of a label
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(0, 30, size=(400, 2))
+    ages = rng.random(400)
+    marks = rng.integers(1, 4, size=400)
+    label = np.arange(2).repeat(200)
     monkeypatch.setattr(kernels, "_BATCH", batch)
-    assert np.array_equal(kernels.matern_keep_mask(pts, ages, 6.0),
-                          expected_mask)
-    assert kernels.min_same_mark_sq_dist(pts, marks) == expected_min
-    assert np.array_equal(expected_mask, matern_mask_reference(pts, ages, 6.0))
+    assert np.array_equal(kernels.matern_keep_mask(pts, ages, 10.0),
+                          matern_mask_reference(pts, ages, 10.0))
+    assert np.array_equal(
+        kernels.matern_keep_mask(pts, ages, 10.0, label),
+        np.concatenate([matern_mask_reference(pts[label == k],
+                                              ages[label == k], 10.0)
+                        for k in (0, 1)]))
+    assert kernels.min_same_mark_sq_dist(pts, marks) == \
+        min_same_mark_brute_force(pts, marks)
+
+
+# Thins a group of verify's Matern interference suite, 4 samples at
+# intensity 0.1 on a 108 x 108 window at r = 4, in a fresh interpreter, and
+# prints the minor page faults of 20 calls after 5 warming ones.
+_FAULTS_SCRIPT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from cellbounds import kernels
+rng = np.random.default_rng(8)
+sizes = rng.poisson(0.1 * 108 * 108, size=4)
+pts = rng.uniform(0, 108, size=(sizes.sum(), 2))
+ages = rng.random(len(pts))
+cloud = np.arange(4).repeat(sizes)
+for _ in range(5):
+    kernels.matern_keep_mask(pts, ages, 4.0, cloud)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    kernels.matern_keep_mask(pts, ages, 4.0, cloud)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under glibc's allocator")
+def test_repeated_thinning_reuses_its_pages():
+    # each call writes its arrays into pages that earlier calls faulted in;
+    # batches of 128 KiB arrays, glibc's mmap threshold, took about 360
+    # faults per call.  A fresh interpreter gives every run the same heap.
+    src = Path(kernels.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, str(src)],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert int(done.stdout.split()[-1]) <= 100
 
 
 def test_cluster_far_from_the_rest_stays_in_bounded_memory():

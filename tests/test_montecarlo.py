@@ -199,6 +199,19 @@ def test_grouped_suites_match_plain_factory(monkeypatch, intensity, budget):
     assert (skipped > 0) == (intensity < 0.01)
 
 
+@pytest.mark.parametrize("budget", [4000, 1000, 1])
+def test_lattice_ball_suite_matches_plain_factory(monkeypatch, budget):
+    # the lattice's one point set is counted against 8, 2 or 1 centers per
+    # pass; a plain factory's copies of it are grouped like any samples
+    monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
+    lattice = lattice_factory(A_HEX, 40.0)
+    plain = lambda s: lattice(s)  # noqa: E731
+    fixed, copied = (ball_regulation_suite(f, 2.0, R_GRID, 30, 4)
+                     for f in (lattice, plain))
+    for a, b in [(0, 30), (1, 4), (7, 7), (11, 29)]:
+        assert fixed.records(range(a, b)) == copied.records(range(a, b))
+
+
 def test_matern_ball_check_window_too_small():
     factory = matern_factory(0.1, 4.0, Rect(0, 30, 0, 30))
     for f in (factory, lambda s: factory(s)):

@@ -10,7 +10,8 @@ from scipy.spatial.distance import pdist
 from cellbounds import pointset
 from cellbounds.pointset import (MarkedPointSet, Rect, SampleGroup,
                                  UnsupportedReuseError, ball_count,
-                                 ball_counts, color_lattice, from_csv,
+                                 ball_counts, ball_counts_around,
+                                 color_lattice, from_csv,
                                  gen_matern_ii, gen_triangular_lattice,
                                  matern_groups, nearest_index, sq_dists,
                                  to_csv, verify_hardcore)
@@ -232,20 +233,26 @@ def test_ball_count_mark_filter():
     assert total == per_mark
 
 
-def test_ball_counts_match_pointwise_reference():
+def test_ball_counts_match_pointwise_reference(monkeypatch):
     lattice = color_lattice(gen_triangular_lattice(A_HEX, Rect(-20, 20, -20, 20)), 3)
     # radii 4 and 8 hit lattice sites exactly, which the open ball excludes
     radii = [0.0, 4.0, 4.01, 2.0, 8.0, 10.0, 16.0]
-    for center in ((0.0, 0.0), (0.3, 0.2)):
-        for mark in (None, 1, 2):
-            expected = [
-                sum(1 for (x, y), m in zip(lattice.points, lattice.marks)
-                    if mark in (None, m)
-                    and math.hypot(x - center[0], y - center[1])
-                    < r * (1 - 1e-12))
-                for r in radii]
-            assert ball_counts(lattice, center, radii, mark) == expected
+    centers = [(0.0, 0.0), (0.3, 0.2), (-7.5, 11.0)]
+    for mark in (None, 1, 2):
+        pts = lattice.points[[mark in (None, m) for m in lattice.marks]]
+        expected = [[sum(1 for x, y in pts
+                         if math.hypot(x - center[0], y - center[1])
+                         < r * (1 - 1e-12))
+                     for r in radii]
+                    for center in centers]
+        assert [ball_counts(lattice, center, radii, mark)
+                for center in centers] == expected
+        # all the centers in one pass, two and one at a time
+        for budget in (pointset.GROUP_POINTS, 2 * len(pts), 1):
+            monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
+            assert ball_counts_around(pts, centers, radii) == expected
     assert ball_counts(lattice, (0.0, 0.0), []) == []
+    assert ball_counts_around(lattice.points, [], radii) == []
     with pytest.raises(ValueError):
         ball_counts(lattice, (0.0, 0.0), [2.0, -1.0])
 
