@@ -12,7 +12,7 @@ from .guarantees import (CriticalPower, InfeasibleError, LinkBudget,
                          theta)
 from .hexnet import (HexRatePoint, UnsupportedReuseError, hardcore_for_reuse,
                      hex_rate_sweep)
-from .pathloss import BoundedPowerLaw, DivergenceError, PathLossModel, Tabulated
+from .pathloss import BoundedPowerLaw, DivergenceError
 
 # The sampling and verification API runs on numpy.  Its names, and the
 # modules themselves, resolve on first access (PEP 562), so ``import
@@ -53,10 +53,8 @@ __all__ = [
     "InfeasibleError",
     "LinkBudget",
     "MarkedPointSet",
-    "PathLossModel",
     "RateGuarantee",
     "Rect",
-    "Tabulated",
     "TrialRecord",
     "UnsupportedReuseError",
     "VerificationReport",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pathloss import PathLossModel
+from .pathloss import BoundedPowerLaw
 
 SQRT12 = math.sqrt(12.0)
 
@@ -39,6 +39,9 @@ class BallRegulation:
     nu: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.sigma, self.rho, self.nu))):
+            raise ValueError(
+                f"envelope coefficients must be finite, got {self}")
         if self.sigma < 0 or self.rho < 0:
             raise ValueError("sigma and rho must be non-negative")
         if self.nu <= 0:
@@ -81,19 +84,19 @@ def exclusion_radius(d: float, h: float) -> float:
     return max(d, 2 * h - d)
 
 
-def shot_noise_bound(model: PathLossModel, h: float, radius: float = math.inf) -> float:
-    """A.s. bound on sum of l(|x|) over an h-hardcore process in b(o, radius).
+def shot_noise_bound(model: BoundedPowerLaw, h: float) -> float:
+    """A.s. bound on sum of l(|x|) over an h-hardcore process in the plane.
 
-    Equals l(0) + rho_h * int_0^R l + 2 nu_h * int_0^R r l; the infinite-R
-    limit requires the tail integrals to converge.
+    Equals l(0) + rho_h * int_0^inf l + 2 nu_h * int_0^inf r l, which
+    requires the tail integrals to converge (alpha > 2).
     """
     reg = hardcore_regulation_constants(h)
     return (model.eval(0.0)
-            + reg.rho * model.integral(0.0, radius)
-            + 2 * reg.nu * model.weighted_integral(0.0, radius))
+            + reg.rho * model.tail_integral(0.0)
+            + 2 * reg.nu * model.weighted_tail_integral(0.0))
 
 
-def conditional_bound_general(model: PathLossModel, envelope: BallRegulation,
+def conditional_bound_general(model: BoundedPowerLaw, envelope: BallRegulation,
                               t: float, radius: float = math.inf) -> float:
     """A.s. bound on the attenuated sum outside the exclusion disc b(o, t).
 
@@ -125,24 +128,11 @@ def conditional_bound_general(model: PathLossModel, envelope: BallRegulation,
     for b in cuts:
         total += quad(integrand, lo, b, **_QUAD_OPTS)[0]
         lo = b
-    if math.isinf(radius):
-        # beyond any tabulated truncation the integrand is identically zero
-        if not math.isinf(_upper_support(model)):
-            hi = _upper_support(model)
-            if hi > lo:
-                total += quad(integrand, lo, hi, **_QUAD_OPTS)[0]
-        else:
-            total += quad(integrand, lo, math.inf, **_QUAD_OPTS)[0]
-    else:
-        total += quad(integrand, lo, radius, **_QUAD_OPTS)[0]
+    total += quad(integrand, lo, radius, **_QUAD_OPTS)[0]
     return boundary + total
 
 
-def _upper_support(model: PathLossModel) -> float:
-    return getattr(model, "truncation_radius", math.inf)
-
-
-def interference_bound(model: PathLossModel, h: float, d: float) -> float:
+def interference_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     """A.s. bound on total interference at a receiver served from distance d.
 
     Specializes the conditional bound to the quadratic envelope
@@ -163,7 +153,7 @@ def interference_bound(model: PathLossModel, h: float, d: float) -> float:
             + 2 * reg.nu * model.weighted_tail_integral(t))
 
 
-def legacy_bound(model: PathLossModel, h: float, d: float) -> float:
+def legacy_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     """Earlier interference bound that ignores the exclusion-disc geometry.
 
     l(0) + rho_h int_0^inf l + 2 nu_h int_0^inf r l - l(t): the full-plane

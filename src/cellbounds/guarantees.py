@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import interference_bound
-from .pathloss import PathLossModel
+from .pathloss import BoundedPowerLaw
 
 _BRACKET_CAP = 2 ** 40
 _BISECT_REL_TOL = 1e-13
@@ -43,7 +43,7 @@ class LinkBudget:
     power: float
     noise: float
     distance: float
-    model: PathLossModel
+    model: BoundedPowerLaw
 
     def __post_init__(self):
         if not (math.isfinite(self.power) and self.power > 0):

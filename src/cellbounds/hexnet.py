@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from .guarantees import LinkBudget, rate_always_active, rate_scheduled
-from .pathloss import PathLossModel
+from .pathloss import BoundedPowerLaw
 
 _HARDCORE_PER_EDGE = {1: math.sqrt(3.0) / 2, 3: 1.5, 4: math.sqrt(3.0)}
 
@@ -28,8 +28,8 @@ class UnsupportedReuseError(ValueError):
 
 def hardcore_for_reuse(a: float, k: int) -> float:
     """Hardcore half-distance h_k of the reuse-k coloring, edge length a."""
-    if a <= 0:
-        raise ValueError("edge length must be positive")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"edge length must be positive and finite, got {a}")
     try:
         return _HARDCORE_PER_EDGE[k] * a
     except KeyError:
@@ -43,7 +43,7 @@ class HexRatePoint(NamedTuple):
     rate_k4: float
 
 
-def hex_rate_sweep(a: float, power: float, model: PathLossModel,
+def hex_rate_sweep(a: float, power: float, model: BoundedPowerLaw,
                    snr_db_grid, log_base: str = "nat") -> list[HexRatePoint]:
     """Worst-case rate guarantees vs SNR for always-active, reuse-3, reuse-4.
 

@@ -25,7 +25,7 @@ from ._textio import write_lines
 from .bounds import exclusion_radius, hardcore_regulation_constants, interference_bound
 from .guarantees import LinkBudget, theta
 from .hexnet import hardcore_for_reuse
-from .pathloss import BoundedPowerLaw, PathLossModel
+from .pathloss import BoundedPowerLaw
 from .pointset import (GROUP_POINTS, MarkedPointSet, Rect, SampleGroup,
                        ball_counts_around, check_matern, color_lattice,
                        gen_matern_ii, gen_triangular_lattice, matern_groups,
@@ -150,18 +150,6 @@ def lattice_factory(a: float, half_width: float, k: int = 1):
         return lattice
     make.point_set = lattice
     return make
-
-
-def _attenuated_sum(model: PathLossModel, points: np.ndarray, origin,
-                    exclude: int = -1) -> float:
-    if isinstance(model, BoundedPowerLaw):
-        return kernels.bounded_power_law_sum(points, origin, model.alpha, exclude)
-    d = np.sqrt(sq_dists(points, np.asarray(origin, dtype=float)))
-    att = model.eval(d)
-    total = float(att.sum())
-    if 0 <= exclude < len(att):
-        total -= float(att[exclude])
-    return total
 
 
 def _ball_center(window: Rect, r_max: float, seed: int, index: int):
@@ -328,15 +316,15 @@ def check_ball_regulation(factory, h: float, r_grid, trials: int,
     return ball_regulation_suite(factory, h, r_grid, trials, seed).run()
 
 
-def interference_suite(factory, h: float, model: PathLossModel, trials: int,
-                       seed: int) -> Suite:
+def interference_suite(factory, h: float, model: BoundedPowerLaw,
+                       trials: int, seed: int) -> Suite:
     """The trials of :func:`check_interference_bound` as a :class:`Suite`."""
     return Suite("interference-bound", trials,
                  partial(_interference_records, factory, h, model, seed))
 
 
-def _interference_records(factory, h: float, model: PathLossModel, seed: int,
-                          trials: range):
+def _interference_records(factory, h: float, model: BoundedPowerLaw,
+                          seed: int, trials: range):
     records: list[TrialRecord] = []
     skipped = 0
     seeds = [trial_seed(seed, i) for i in trials]
@@ -351,8 +339,9 @@ def _interference_records(factory, h: float, model: PathLossModel, seed: int,
                 continue
             first, stop = group.starts[k], group.starts[k + 1]
             d = math.sqrt(d2[i0])
-            realized = _attenuated_sum(model, group.points[first:stop],
-                                       users[done + k], exclude=i0 - first)
+            realized = kernels.bounded_power_law_sum(
+                group.points[first:stop], users[done + k], model.alpha,
+                i0 - first)
             bound = interference_bound(model, h, d)
             records.append(TrialRecord(seeds[done + k], d,
                                        exclusion_radius(d, h), realized, bound))
@@ -360,7 +349,7 @@ def _interference_records(factory, h: float, model: PathLossModel, seed: int,
     return records, skipped
 
 
-def check_interference_bound(factory, h: float, model: PathLossModel,
+def check_interference_bound(factory, h: float, model: BoundedPowerLaw,
                              trials: int, seed: int) -> VerificationReport:
     """Realized interference at the window center never exceeds the bound.
 
@@ -372,7 +361,7 @@ def check_interference_bound(factory, h: float, model: PathLossModel,
     return interference_suite(factory, h, model, trials, seed).run()
 
 
-def check_scheduled_bound(a: float, k: int, model: PathLossModel,
+def check_scheduled_bound(a: float, k: int, model: BoundedPowerLaw,
                           seed: int = 0, half_width: float = 40.0,
                           power: float = 1.0,
                           snr_db: float = 0.0) -> VerificationReport:
@@ -396,8 +385,8 @@ def check_scheduled_bound(a: float, k: int, model: PathLossModel,
         d_m = math.sqrt(sq_dists(lattice.points[idx:idx + 1], user)[0])
         sel = np.flatnonzero(lattice.marks == mark)
         local_excl = int(np.flatnonzero(sel == idx)[0])
-        realized = _attenuated_sum(model, lattice.points[sel], user,
-                                   exclude=local_excl)
+        realized = kernels.bounded_power_law_sum(lattice.points[sel], user,
+                                                 model.alpha, local_excl)
         bound = interference_bound(model, h_k, d_m)
         records.append(TrialRecord(seed, d_m, exclusion_radius(d_m, h_k),
                                    realized, bound))

@@ -132,8 +132,8 @@ def gen_triangular_lattice(a: float, window: Rect) -> MarkedPointSet:
     inter-site distance s = sqrt(3)*a, where a is the hexagon edge length
     (equivalently the cell circumradius).
     """
-    if a <= 0:
-        raise ValueError("edge length must be positive")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"edge length must be positive and finite, got {a}")
     s = math.sqrt(3.0) * a
     row = 0.5 * math.sqrt(3.0) * s
     j = np.arange(math.floor(window.ymin / row) - 1,

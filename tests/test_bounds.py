@@ -11,18 +11,19 @@ from cellbounds.bounds import (BallRegulation, conditional_bound_general,
                                hardcore_regulation_constants,
                                interference_bound, legacy_bound,
                                shot_noise_bound)
-from cellbounds.pathloss import BoundedPowerLaw, DivergenceError, Tabulated
+from cellbounds.pathloss import BoundedPowerLaw, DivergenceError
 
 D_HEX = 4 / math.sqrt(3.0)
 
 
-def quad_shot_noise(model, h, upper):
+def quad_shot_noise(model, h):
     """Quadrature oracle for the shot-noise envelope bound."""
     reg = hardcore_regulation_constants(h)
     f = quad(model.eval, 0, 1, epsabs=1e-12, epsrel=1e-12)[0]
-    f += quad(model.eval, 1, upper, epsabs=1e-12, epsrel=1e-12)[0]
+    f += quad(model.eval, 1, math.inf, epsabs=1e-12, epsrel=1e-12)[0]
     g = quad(lambda r: r * model.eval(r), 0, 1, epsabs=1e-12, epsrel=1e-12)[0]
-    g += quad(lambda r: r * model.eval(r), 1, upper, epsabs=1e-12, epsrel=1e-12)[0]
+    g += quad(lambda r: r * model.eval(r), 1, math.inf, epsabs=1e-12,
+              epsrel=1e-12)[0]
     return model.eval(0.0) + reg.rho * f + 2 * reg.nu * g
 
 
@@ -57,6 +58,10 @@ def test_ball_regulation_envelope():
         BallRegulation(-1.0, 2.0, 0.5)
     with pytest.raises(ValueError):
         BallRegulation(1.0, 2.0, 0.0)
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 2.0, 0.5), (1.0, bad, 0.5), (1.0, 2.0, bad)):
+            with pytest.raises(ValueError):
+                BallRegulation(*args)
 
 
 def test_exclusion_radius_cases():
@@ -75,20 +80,8 @@ def test_shot_noise_bound_values():
         5.232198516546508, rel=1e-12)
     assert shot_noise_bound(model, 2.0) == pytest.approx(
         2.6626494172146993, rel=1e-12)
-    # R = 0 leaves only the l(0) term
-    assert shot_noise_bound(model, 1.0, radius=0.0) == 1.0
-
-
-def test_shot_noise_bound_finite_radius_matches_quadrature():
-    model = BoundedPowerLaw(2.5)
-    assert shot_noise_bound(model, 1.5, radius=30.0) == pytest.approx(
-        quad_shot_noise(model, 1.5, 30.0), rel=1e-9)
-    # finite radius works even where the infinite tail diverges
-    low = BoundedPowerLaw(1.5)
-    assert shot_noise_bound(low, 1.0, radius=10.0) == pytest.approx(
-        quad_shot_noise(low, 1.0, 10.0), rel=1e-9)
     with pytest.raises(DivergenceError):
-        shot_noise_bound(low, 1.0)
+        shot_noise_bound(BoundedPowerLaw(1.5), 1.0)
 
 
 def test_conditional_bound_degenerate_interval():
@@ -110,11 +103,11 @@ def test_conditional_bound_matches_closed_form_at_unit_exclusion():
 
 
 def test_conditional_bound_constant_attenuation():
-    c = 0.7
-    model = Tabulated([(0.0, c), (50.0, c)])
+    # l = 1 on [0, 1], so the bound over b(o, 0.9) is the count bound G(0.9)
     envelope = BallRegulation(0.3, 1.2, 0.4)
-    value = conditional_bound_general(model, envelope, 2.0, radius=10.0)
-    assert value == pytest.approx(c * envelope.count_bound(10.0), rel=1e-10)
+    value = conditional_bound_general(BoundedPowerLaw(4), envelope, 0.2,
+                                      radius=0.9)
+    assert value == pytest.approx(envelope.count_bound(0.9), rel=1e-14)
 
 
 def test_interference_bound_frozen_values():
@@ -143,7 +136,7 @@ def test_legacy_bound_matches_quadrature_oracle():
     for alpha, h, d in [(3.0, 1.0, 2.0), (4.0, 2.0, D_HEX), (2.5, 1.0, 1.0)]:
         model = BoundedPowerLaw(alpha)
         t = exclusion_radius(d, h)
-        expected = quad_shot_noise(model, h, math.inf) - model.eval(t)
+        expected = quad_shot_noise(model, h) - model.eval(t)
         assert legacy_bound(model, h, d) == pytest.approx(expected, rel=1e-9)
 
 

@@ -22,8 +22,9 @@ def test_hardcore_for_reuse_values():
     assert hardcore_for_reuse(1.0, 1) == pytest.approx(math.sqrt(3.0) / 2, rel=1e-12)
     with pytest.raises(UnsupportedReuseError):
         hardcore_for_reuse(A_HEX, 2)
-    with pytest.raises(ValueError):
-        hardcore_for_reuse(0.0, 1)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            hardcore_for_reuse(bad, 1)
 
 
 def test_scheduling_wins_at_zero_db():

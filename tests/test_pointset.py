@@ -50,6 +50,12 @@ def test_lattice_tiny_window_single_site():
     assert ps.points[0] == pytest.approx([0.0, 0.0])
 
 
+def test_lattice_rejects_non_positive_or_non_finite_edge():
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="edge length"):
+            gen_triangular_lattice(bad, Rect(0, 1, 0, 1))
+
+
 def lattice_reference(a, window):
     """Row-by-row loop over the sites i*u + j*v, in gen_triangular_lattice's
     order, with its arithmetic."""
