@@ -23,7 +23,7 @@ _LAZY = {
         ("ConfigurationError", "TrialRecord", "VerificationReport",
          "check_ball_regulation", "check_interference_bound",
          "check_scheduled_bound", "lattice_factory", "matern_factory",
-         "vertex_window"), "montecarlo"),
+         "point_set_factory", "vertex_window"), "montecarlo"),
     **dict.fromkeys(
         ("MarkedPointSet", "Rect", "ball_count", "color_lattice", "from_csv",
          "gen_matern_ii", "gen_triangular_lattice", "nearest_index", "to_csv",
@@ -78,6 +78,7 @@ __all__ = [
     "legacy_bound",
     "matern_factory",
     "nearest_index",
+    "point_set_factory",
     "rate_always_active",
     "rate_scheduled",
     "shot_noise_bound",

@@ -111,9 +111,9 @@ def conditional_bound_general(model: BoundedPowerLaw, envelope: BallRegulation,
     """
     from scipy.integrate import quad
 
-    if t < 0:
-        raise ValueError("exclusion radius must be non-negative")
-    if radius < t:
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("exclusion radius must be finite and non-negative")
+    if not radius >= t:  # also a NaN radius
         raise ValueError("outer radius must be at least the exclusion radius")
     boundary = model.eval(t) * envelope.count_bound(t)
     if radius == t:

@@ -170,13 +170,13 @@ def cmd_hex_sweep(args) -> int:
 def cmd_verify(args) -> int:
     """Run the verification suites.
 
-    The trial-indexed suites run in one process per usable CPU (see
+    The suites run in one process per usable CPU (see
     :func:`cellbounds.montecarlo.run_suites`); the output is the same for
     any number of processes.
     """
     from .montecarlo import (TrialRecord, ball_regulation_suite,
-                             check_scheduled_bound, interference_suite,
-                             lattice_factory, matern_factory, run_suites)
+                             interference_suite, lattice_factory,
+                             matern_factory, run_suites, scheduled_suite)
     from .pointset import Rect
 
     if args.trials < 0:
@@ -199,13 +199,10 @@ def cmd_verify(args) -> int:
                                          min(args.trials, 1), args.seed))
         suites.append(interference_suite(matern, h, model,
                                           args.trials, args.seed + 2))
+    if args.suite in ("scheduled", "all") and args.trials > 0:
+        suites += [scheduled_suite(args.a, k, model, args.trials, args.seed,
+                                   args.lattice_half_width) for k in (1, 3, 4)]
     reports = run_suites(suites)
-    if args.suite in ("scheduled", "all"):
-        if args.trials > 0:
-            for k in (1, 3, 4):
-                reports.append(check_scheduled_bound(
-                    args.a, k, model, seed=args.seed,
-                    half_width=args.lattice_half_width))
 
     params = {"command": "verify", "suite": args.suite, "trials": args.trials,
               "seed": args.seed, "alpha": args.alpha, "hardcore": h,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, ClassVar, Iterator, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -26,10 +26,9 @@ from .bounds import exclusion_radius, hardcore_regulation_constants, interferenc
 from .guarantees import LinkBudget, theta
 from .hexnet import hardcore_for_reuse
 from .pathloss import BoundedPowerLaw
-from .pointset import (GROUP_POINTS, MarkedPointSet, Rect, SampleGroup,
-                       ball_counts_around, check_matern, color_lattice,
-                       gen_matern_ii, gen_triangular_lattice, matern_groups,
-                       nearest_index, sq_dists)
+from .pointset import (MarkedPointSet, Rect, SampleGroup, check_matern,
+                       color_lattice, gen_matern_ii, gen_triangular_lattice,
+                       matern_groups, nearest_index, tiled_groups)
 
 VIOLATION_REL_TOL = 1e-12
 
@@ -112,22 +111,39 @@ def trial_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def matern_factory(intensity: float, hardcore_radius: float, window: Rect):
-    """Factory of Matern type-II samples for the checks below.
+# A configuration source for the checks below is a factory ``make``:
+# ``make(seed)`` is the sample of one seed, ``make.window`` the window its
+# points lie in, and ``make.groups(draws)`` yields the samples of the
+# ``(seed, near)`` pairs of ``draws`` as SampleGroups, in order.  ``near``
+# is None or ``(center, reach)``; a source may then leave out the points
+# farther than ``reach`` from ``center`` in the max norm.
 
-    ``make(seed, near=(center, reach))`` gives only the part of the sample
-    within ``reach`` of ``center`` (see :func:`gen_matern_ii`);
-    ``make.window`` is the sampling window, and ``make.groups(draws)``
-    gives the samples of ``(seed, near)`` pairs a group at a time (see
-    :func:`cellbounds.pointset.matern_groups`).
+def matern_factory(intensity: float, hardcore_radius: float, window: Rect):
+    """Source of Matern type-II samples on the window.
+
+    Its groups are thinned together and hold only the points within reach
+    of ``near`` (see :func:`cellbounds.pointset.matern_groups`).
     """
     check_matern(intensity, hardcore_radius)
 
-    def make(seed: int, near=None) -> MarkedPointSet:
-        return gen_matern_ii(intensity, hardcore_radius, window, seed,
-                             near=near)
+    def make(seed: int) -> MarkedPointSet:
+        return gen_matern_ii(intensity, hardcore_radius, window, seed)
     make.window = window
     make.groups = partial(matern_groups, intensity, hardcore_radius, window)
+    return make
+
+
+def point_set_factory(ps: MarkedPointSet):
+    """Source of one fixed point set, such as a lattice or one read by
+    :func:`cellbounds.pointset.from_csv`, the same for every seed.
+
+    Its groups hold a whole copy of the set per draw (see
+    :func:`cellbounds.pointset.tiled_groups`).
+    """
+    def make(seed: int) -> MarkedPointSet:
+        return ps
+    make.window = ps.window
+    make.groups = partial(tiled_groups, ps.points)
     return make
 
 
@@ -139,17 +155,10 @@ def vertex_window(a: float, half_width: float) -> Rect:
 
 
 def lattice_factory(a: float, half_width: float, k: int = 1):
-    """Factory of the (deterministic) colored lattice on a vertex-centered window.
-
-    Every seed gives the same point set, ``make.point_set``.
-    """
+    """Source of the reuse-k colored lattice on a vertex-centered window."""
     window = vertex_window(a, half_width)
-    lattice = color_lattice(gen_triangular_lattice(a, window), k)
-
-    def make(seed: int) -> MarkedPointSet:
-        return lattice
-    make.point_set = lattice
-    return make
+    return point_set_factory(
+        color_lattice(gen_triangular_lattice(a, window), k))
 
 
 def _ball_center(window: Rect, r_max: float, seed: int, index: int):
@@ -234,66 +243,16 @@ def ball_regulation_suite(factory, h: float, r_grid, trials: int,
                  partial(_ball_records, factory, r_grid, bounds, seed))
 
 
-def _point_set_groups(point_sets) -> Iterator[SampleGroup]:
-    """The point sets, concatenated in groups of about GROUP_POINTS points."""
-    batch = []
-    held = 0
-    for ps in point_sets:
-        batch.append(ps.points)
-        held += len(ps)
-        if held >= GROUP_POINTS:
-            yield SampleGroup.of(np.concatenate(batch), [len(p) for p in batch])
-            batch = []
-            held = 0
-    if batch:
-        yield SampleGroup.of(np.concatenate(batch), [len(p) for p in batch])
-
-
-def _sample_groups(factory, seeds: list[int], locate, near=None):
-    """The factory's samples of ``seeds`` in groups, and their points.
-
-    ``locate(window, k)`` gives the point of sample ``k`` (a ball center
-    or a user) from its sampling window; the returned list holds it for
-    every sample of a group by the time the group is yielded.  A factory
-    with ``groups`` (see :func:`matern_factory`) draws and thins its
-    samples a group at a time, each restricted to ``near(point)`` if
-    ``near`` is given.  Any other factory is called with each seed in
-    turn, and its point sets are concatenated into groups.
-    """
-    points = []
-    if hasattr(factory, "groups"):
-        points.extend(locate(factory.window, k) for k in range(len(seeds)))
-        return factory.groups(
-            (seed, None if near is None else near(point))
-            for seed, point in zip(seeds, points)), points
-
-    def point_sets():
-        for k, seed in enumerate(seeds):
-            ps = factory(seed)
-            points.append(locate(ps.window, k))
-            yield ps
-    return _point_set_groups(point_sets()), points
-
-
 def _ball_records(factory, r_grid: list[float], bounds: list[float],
                   seed: int, trials: range):
     r_max = max(r_grid)
     seeds = [trial_seed(seed, i) for i in trials]
-    fixed = getattr(factory, "point_set", None)
-    if fixed is not None:  # every trial's balls on the one point set
-        counts = ball_counts_around(
-            fixed.points,
-            [_ball_center(fixed.window, r_max, seed, i) for i in trials],
-            r_grid)
-    else:
-        groups, centers = _sample_groups(
-            factory, seeds,
-            lambda window, k: _ball_center(window, r_max, seed, trials[k]),
-            lambda center: (center, r_max))
-        counts = []
-        for group in groups:
-            counts += group.ball_counts(
-                centers[len(counts):len(counts) + len(group)], r_grid)
+    centers = [_ball_center(factory.window, r_max, seed, i) for i in trials]
+    counts = []
+    for group in factory.groups(
+            (tseed, (center, r_max)) for tseed, center in zip(seeds, centers)):
+        counts += group.ball_counts(
+            centers[len(counts):len(counts) + len(group)], r_grid)
     records = [TrialRecord(tseed, r, r, float(count), bound)
                for tseed, row in zip(seeds, counts)
                for r, count, bound in zip(r_grid, row, bounds)]
@@ -305,13 +264,10 @@ def check_ball_regulation(factory, h: float, r_grid, trials: int,
     """Counts in random balls never exceed 1 + rho_h R + nu_h R^2.
 
     Ball centers are drawn uniformly over the window shrunk by max(R), so
-    each checked ball lies fully inside the window.  A factory that draws
-    its samples in groups (see :func:`matern_factory`) is asked only for
-    the points within max(R) of each center; a factory with one
-    ``point_set`` for every seed (see :func:`lattice_factory`) is not
-    called; any other factory is called with the seed alone.  The records
-    are the same either way.  The balls of a group of samples, or of
-    several centers on the one point set, are counted in one pass.
+    each checked ball lies fully inside the window.  The factory is a
+    source (see :func:`matern_factory`), asked only for the points within
+    max(R) of each center, and the balls of a group of its samples are
+    counted in one pass.
     """
     return ball_regulation_suite(factory, h, r_grid, trials, seed).run()
 
@@ -323,30 +279,37 @@ def interference_suite(factory, h: float, model: BoundedPowerLaw,
                  partial(_interference_records, factory, h, model, seed))
 
 
+def _interference(group: SampleGroup, receivers, alpha: float) -> list:
+    """Per sample of the group, None if it has no points, else the distance
+    d from its receiver to its nearest point and the realized interference
+    there: the bounded power-law sum over its other points."""
+    nearest, d2 = group.nearest(receivers)
+    found = []
+    for k, i0 in enumerate(nearest):
+        first, stop = group.starts[k], group.starts[k + 1]
+        found.append(None if i0 < 0 else (
+            math.sqrt(d2[i0]),
+            kernels.bounded_power_law_sum(group.points[first:stop],
+                                          receivers[k], alpha, i0 - first)))
+    return found
+
+
 def _interference_records(factory, h: float, model: BoundedPowerLaw,
                           seed: int, trials: range):
-    records: list[TrialRecord] = []
-    skipped = 0
     seeds = [trial_seed(seed, i) for i in trials]
-    groups, users = _sample_groups(factory, seeds,
-                                   lambda window, k: window.center)
-    done = 0
-    for group in groups:
-        nearest, d2 = group.nearest(users[done:done + len(group)])
-        for k, i0 in enumerate(nearest):
-            if i0 < 0:
-                skipped += 1
-                continue
-            first, stop = group.starts[k], group.starts[k + 1]
-            d = math.sqrt(d2[i0])
-            realized = kernels.bounded_power_law_sum(
-                group.points[first:stop], users[done + k], model.alpha,
-                i0 - first)
-            bound = interference_bound(model, h, d)
-            records.append(TrialRecord(seeds[done + k], d,
-                                       exclusion_radius(d, h), realized, bound))
-        done += len(group)
-    return records, skipped
+    user = factory.window.center
+    found = []
+    for group in factory.groups((tseed, None) for tseed in seeds):
+        found += _interference(group, [user] * len(group), model.alpha)
+    records = [_interference_record(tseed, model, h, *hit)
+               for tseed, hit in zip(seeds, found) if hit is not None]
+    return records, found.count(None)
+
+
+def _interference_record(seed: int, model: BoundedPowerLaw, h: float,
+                         d: float, realized: float) -> TrialRecord:
+    return TrialRecord(seed, d, exclusion_radius(d, h), realized,
+                       interference_bound(model, h, d))
 
 
 def check_interference_bound(factory, h: float, model: BoundedPowerLaw,
@@ -361,46 +324,50 @@ def check_interference_bound(factory, h: float, model: BoundedPowerLaw,
     return interference_suite(factory, h, model, trials, seed).run()
 
 
+def scheduled_suite(a: float, k: int, model: BoundedPowerLaw, trials: int,
+                    seed: int, half_width: float) -> Suite:
+    """The check of :func:`check_scheduled_bound` as a :class:`Suite` of
+    ``min(trials, 1)`` trials: the lattice is the same in every trial."""
+    lattice = lattice_factory(a, half_width, k)(seed)
+    return Suite(f"scheduled-bound-k{k}", min(trials, 1),
+                 partial(_scheduled_records, lattice, hardcore_for_reuse(a, k),
+                         model, seed))
+
+
+def _scheduled_records(lattice: MarkedPointSet, h_k: float,
+                       model: BoundedPowerLaw, seed: int, trials: range):
+    if not trials:
+        return [], 0
+    k = lattice.num_marks
+    user = lattice.window.center
+    # one sample per mark class, each keeping its points in lattice order
+    order = np.argsort(lattice.marks, kind="stable")
+    classes = SampleGroup.of(lattice.points[order],
+                             np.bincount(lattice.marks, minlength=k + 1)[1:])
+    found = _interference(classes, [user] * k, model.alpha)
+    if None in found:
+        raise ConfigurationError(f"the reuse-{k} lattice has no point of "
+                                 f"mark {found.index(None) + 1}")
+    records = [_interference_record(seed, model, h_k, *hit) for hit in found]
+    d, realized = found[lattice.marks[nearest_index(lattice, user)] - 1]
+    signal = model.eval(d)  # P = 1 and SNR = 0 dB: the noise equals it
+    records.append(TrialRecord(seed, d, exclusion_radius(d, h_k),
+                               theta(LinkBudget(1.0, signal, d, model), h_k),
+                               signal / (realized + signal)))
+    return records, 0
+
+
 def check_scheduled_bound(a: float, k: int, model: BoundedPowerLaw,
-                          seed: int = 0, half_width: float = 40.0,
-                          power: float = 1.0,
-                          snr_db: float = 0.0) -> VerificationReport:
+                          seed: int = 0,
+                          half_width: float = 40.0) -> VerificationReport:
     """Per-class interference and SINR of the reuse-k lattice at the vertex user.
 
     For each mark class the user's nearest point of that class plays the
     serving role: the remaining same-class interference must respect
     interference_bound(l, h_k, d_class).  A final record checks the active
-    slot of the actually serving site: its realized SINR must reach
-    theta(P, h_k); for that record `realized` holds the guaranteed SINR
-    and `bound` the achieved one, keeping ratio <= 1 on success.
+    slot of the actually serving site, at power P = 1 and an SNR of 0 dB
+    (P cancels out of the SINR): its realized SINR must reach theta(P,
+    h_k); for that record `realized` holds the guaranteed SINR and `bound`
+    the achieved one, keeping ratio <= 1 on success.
     """
-    lattice = lattice_factory(a, half_width, k)(seed)
-    h_k = hardcore_for_reuse(a, k)
-    user = lattice.window.center
-    records: list[TrialRecord] = []
-    realized_by_mark: dict[int, float] = {}
-    d_by_mark: dict[int, float] = {}
-    for mark in range(1, k + 1):
-        idx = nearest_index(lattice, user, mark=mark)
-        d_m = math.sqrt(sq_dists(lattice.points[idx:idx + 1], user)[0])
-        sel = np.flatnonzero(lattice.marks == mark)
-        local_excl = int(np.flatnonzero(sel == idx)[0])
-        realized = kernels.bounded_power_law_sum(lattice.points[sel], user,
-                                                 model.alpha, local_excl)
-        bound = interference_bound(model, h_k, d_m)
-        records.append(TrialRecord(seed, d_m, exclusion_radius(d_m, h_k),
-                                   realized, bound))
-        realized_by_mark[mark] = realized
-        d_by_mark[mark] = d_m
-
-    serving = nearest_index(lattice, user)
-    serving_mark = int(lattice.marks[serving])
-    d = d_by_mark[serving_mark]
-    signal = power * model.eval(d)
-    noise = signal / 10.0 ** (snr_db / 10.0)
-    link = LinkBudget(power, noise, d, model)
-    guaranteed = theta(link, h_k)
-    achieved = signal / (power * realized_by_mark[serving_mark] + noise)
-    records.append(TrialRecord(seed, d, exclusion_radius(d, h_k),
-                               guaranteed, achieved))
-    return _finalize(f"scheduled-bound-k{k}", 1, records)
+    return scheduled_suite(a, k, model, 1, seed, half_width).run()

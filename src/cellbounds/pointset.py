@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -37,8 +38,8 @@ _REACH_SLACK = 1e-9
 # samples at the verify defaults, or 25 of the ball suite's local ones.
 # The call's fixed cost, about 90 us, is then paid once per group.  A
 # budget of 16,000 made `verify` faster still, but added 2.3 MB to its
-# peak memory where this one adds about 1 MB.  ball_counts_around computes
-# about as many distances per pass.
+# peak memory where this one adds about 1 MB.  tiled_groups puts about as
+# many points in a group.
 GROUP_POINTS = 4000
 
 
@@ -245,28 +246,6 @@ def _squared_limits(radii) -> list[float]:
     return [t * t for t in (r * (1.0 - _REL_SLACK) for r in radii)]
 
 
-def ball_counts_around(points: np.ndarray, centers,
-                       radii) -> list[list[int]]:
-    """Per center, the numbers of ``points`` in the open balls b(center, r)
-    around it, one per radius r.
-
-    One point set serves every center, as a lattice serves every trial:
-    the distances from a few centers at a time, about ``GROUP_POINTS`` of
-    them, are computed in one pass, and the points are never copied.
-    """
-    limits = _squared_limits(radii)
-    ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
-    step = max(1, GROUP_POINTS // max(len(points), 1))
-    counts = np.zeros((len(ctr), len(limits)), dtype=np.intp)
-    for first in range(0, len(ctr), step):
-        near = ctr[first:first + step]
-        d2 = sq_dists(points, (near[:, :1], near[:, 1:]))
-        for k, limit in enumerate(limits):
-            counts[first:first + step, k] = np.count_nonzero(d2 < limit,
-                                                             axis=1)
-    return counts.tolist()
-
-
 def _nearest(points: np.ndarray, d2: np.ndarray) -> int:
     """Index of the smallest of ``d2``, exact ties broken lexicographically
     by the points' coordinates."""
@@ -284,6 +263,20 @@ def check_matern(intensity: float, hardcore_radius: float) -> None:
         raise ValueError("intensity must be positive")
     if hardcore_radius <= 0:
         raise ValueError("hardcore radius must be positive")
+
+
+def tiled_groups(points: np.ndarray, draws: Iterable) -> Iterator[SampleGroup]:
+    """One copy of ``points`` per draw, about ``GROUP_POINTS`` points a group.
+
+    A fixed point set is the same sample whatever the draw, so ``draws``
+    is only counted; every group but the last holds the same number of
+    copies, at least one.
+    """
+    per_group = max(1, GROUP_POINTS // max(len(points), 1))
+    draws = iter(draws)
+    while copies := sum(1 for _ in itertools.islice(draws, per_group)):
+        yield SampleGroup.of(np.tile(points, (copies, 1)),
+                             [len(points)] * copies)
 
 
 def matern_groups(intensity: float, hardcore_radius: float, window: Rect,
@@ -392,31 +385,18 @@ def verify_hardcore(ps: MarkedPointSet, min_dist: float) -> bool:
     return kernels.min_same_mark_sq_dist(ps.points, ps.marks) >= threshold ** 2
 
 
-def nearest_index(ps: MarkedPointSet, origin, mark: int | None = None) -> int:
+def nearest_index(ps: MarkedPointSet, origin) -> int:
     """Index of the point closest to origin; exact ties break lexicographically."""
     if len(ps) == 0:
         raise ValueError("point set is empty")
-    candidates = np.arange(len(ps))
-    if mark is not None:
-        candidates = candidates[ps.marks == mark]
-        if len(candidates) == 0:
-            raise ValueError(f"no points with mark {mark}")
-    pts = ps.points[candidates]
-    d2 = sq_dists(pts, np.asarray(origin, dtype=float))
-    return int(candidates[_nearest(pts, d2)])
+    origin = np.asarray(origin, dtype=float)
+    return _nearest(ps.points, sq_dists(ps.points, origin))
 
 
-def ball_counts(ps: MarkedPointSet, center, radii,
-                mark: int | None = None) -> list[int]:
-    """Numbers of points in the open balls b(center, r), one per radius r."""
-    pts = ps.points if mark is None else ps.points[ps.marks == mark]
-    return ball_counts_around(pts, [center], radii)[0]
-
-
-def ball_count(ps: MarkedPointSet, center, radius: float,
-               mark: int | None = None) -> int:
-    """Number of points in the open ball b(center, radius), optionally by mark."""
-    return ball_counts(ps, center, [radius], mark)[0]
+def ball_count(ps: MarkedPointSet, center, radius: float) -> int:
+    """Number of points in the open ball b(center, radius)."""
+    return SampleGroup.of(ps.points, [len(ps)]).ball_counts([center],
+                                                            [radius])[0][0]
 
 
 def to_csv(ps: MarkedPointSet, path_or_file) -> None:

@@ -91,8 +91,14 @@ def test_conditional_bound_degenerate_interval():
     expected = model.eval(t) * envelope.count_bound(t)
     assert conditional_bound_general(model, envelope, t, radius=t) == pytest.approx(
         expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        conditional_bound_general(model, envelope, 2.0, radius=1.0)
+    # a NaN outer radius once gave the boundary term alone, and t = inf
+    # gave NaN; the default outer radius, inf, stays valid
+    for bad_t, bad_radius in ((2.0, 1.0), (0.5, math.nan),
+                              (math.inf, math.inf), (math.nan, math.inf),
+                              (-0.5, 1.0)):
+        with pytest.raises(ValueError):
+            conditional_bound_general(model, envelope, bad_t,
+                                      radius=bad_radius)
 
 
 def test_conditional_bound_matches_closed_form_at_unit_exclusion():

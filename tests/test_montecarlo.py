@@ -4,21 +4,60 @@ import math
 import numpy as np
 import pytest
 
-from cellbounds import pointset
-from cellbounds.bounds import interference_bound
-from cellbounds.montecarlo import (ConfigurationError, TrialRecord, _finalize,
+from cellbounds import kernels, pointset
+from cellbounds.bounds import (exclusion_radius, hardcore_regulation_constants,
+                               interference_bound)
+from cellbounds.guarantees import LinkBudget, theta
+from cellbounds.hexnet import hardcore_for_reuse
+from cellbounds.montecarlo import (ConfigurationError, TrialRecord,
+                                   _ball_center, _finalize,
                                    ball_regulation_suite,
                                    check_ball_regulation,
                                    check_interference_bound,
                                    check_scheduled_bound, interference_suite,
-                                   lattice_factory, matern_factory, trial_seed,
+                                   lattice_factory, matern_factory,
+                                   point_set_factory, trial_seed,
                                    vertex_window)
 from cellbounds.pathloss import BoundedPowerLaw
-from cellbounds.pointset import Rect
+from cellbounds.pointset import MarkedPointSet, Rect, ball_count, nearest_index
 
 A_HEX = 4 / math.sqrt(3.0)
 MODEL = BoundedPowerLaw(4)
 R_GRID = [2.0, 4.0, 8.0, 16.0]
+
+
+def ball_oracle(factory, h, seed, trials):
+    """The ball suite's records and skipped count over ``trials``, each
+    trial counted on the factory's whole sample of its seed."""
+    bounds = [hardcore_regulation_constants(h).count_bound(r) for r in R_GRID]
+    records = []
+    for i in trials:
+        tseed = trial_seed(seed, i)
+        ps = factory(tseed)
+        center = _ball_center(factory.window, max(R_GRID), seed, i)
+        records += [TrialRecord(tseed, r, r, float(ball_count(ps, center, r)),
+                                bound) for r, bound in zip(R_GRID, bounds)]
+    return records, 0
+
+
+def interference_record(seed, ps, receiver, h):
+    """The record of the receiver served by its nearest point of ps."""
+    i0 = nearest_index(ps, receiver)
+    d = math.sqrt(((ps.points[i0] - receiver) ** 2).sum())
+    realized = kernels.bounded_power_law_sum(ps.points, receiver, MODEL.alpha,
+                                             i0)
+    return TrialRecord(seed, d, exclusion_radius(d, h), realized,
+                       interference_bound(MODEL, h, d))
+
+
+def interference_oracle(factory, h, seed, trials):
+    """The interference suite's records and skipped count over ``trials``,
+    each trial on the factory's whole sample of its seed."""
+    samples = [(tseed, factory(tseed))
+               for tseed in (trial_seed(seed, i) for i in trials)]
+    return ([interference_record(tseed, ps, ps.window.center, h)
+             for tseed, ps in samples if len(ps)],
+            sum(1 for _, ps in samples if not len(ps)))
 
 
 def test_trial_seed_stable():
@@ -48,10 +87,8 @@ def test_matern_ball_regulation_clean():
 
 
 def test_single_point_ball_regulation_trivial():
-    def factory(seed):
-        from cellbounds.pointset import MarkedPointSet
-        return MarkedPointSet(np.array([[50.0, 50.0]]), np.array([1]),
-                              Rect(0, 100, 0, 100))
+    factory = point_set_factory(MarkedPointSet(
+        np.array([[50.0, 50.0]]), np.array([1]), Rect(0, 100, 0, 100)))
     report = check_ball_regulation(factory, 2.0, R_GRID, trials=5, seed=1)
     assert report.violations == 0
 
@@ -78,11 +115,8 @@ def test_matern_interference_clean_and_reproducible():
 
 
 def test_single_point_interference_is_zero():
-    from cellbounds.pointset import MarkedPointSet
-
-    def factory(seed):
-        return MarkedPointSet(np.array([[49.0, 52.0]]), np.array([1]),
-                              Rect(0, 100, 0, 100))
+    factory = point_set_factory(MarkedPointSet(
+        np.array([[49.0, 52.0]]), np.array([1]), Rect(0, 100, 0, 100)))
     report = check_interference_bound(factory, 2.0, MODEL, trials=1, seed=0)
     (rec,) = report.records
     assert rec.realized == 0.0
@@ -111,6 +145,30 @@ def test_scheduled_bounds_clean_for_all_reuse_factors():
         assert report.violations == 0, f"reuse {k}"
         assert report.max_ratio <= 1.0
         assert len(report.records) == k + 1  # per-class rows plus the SINR row
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_scheduled_bound_matches_per_class_oracle(k):
+    # each class on its own: its nearest site serves the vertex user, and
+    # the class of the site nearest overall gives the SINR record at P = 1
+    # and an SNR of 0 dB, where the noise equals l(d)
+    lattice = lattice_factory(A_HEX, 40.0, k)(0)
+    h_k = hardcore_for_reuse(A_HEX, k)
+    user = lattice.window.center
+    expected = []
+    for mark in range(1, k + 1):
+        pts = lattice.points[lattice.marks == mark]
+        sub = MarkedPointSet(pts, np.ones(len(pts), dtype=int), lattice.window)
+        expected.append(interference_record(7, sub, user, h_k))
+    serving = expected[int(lattice.marks[nearest_index(lattice, user)]) - 1]
+    signal = MODEL.eval(serving.d)
+    expected.append(TrialRecord(
+        7, serving.d, serving.t,
+        theta(LinkBudget(1, signal, serving.d, MODEL), h_k),
+        signal / (serving.realized + signal)))
+    report = check_scheduled_bound(A_HEX, k, MODEL, seed=7)
+    assert report.records == expected
+    assert report.violations == 0
 
 
 def test_scheduled_k1_matches_interference_check():
@@ -169,13 +227,11 @@ def test_max_ratio_is_nan_whatever_the_record_order():
 
 
 def test_matern_ball_check_local_path_matches_full_samples():
-    # a factory exposing its window is asked only for the points near each
-    # ball; the plain wrapper takes the generic path over full samples
+    # the suite thins only the points near each ball; the oracle counts
+    # on the whole sample of each trial seed
     factory = matern_factory(0.1, 4.0, Rect(0, 100, 0, 100))
     local = check_ball_regulation(factory, 2.0, R_GRID, trials=40, seed=21)
-    full = check_ball_regulation(lambda s: factory(s), 2.0, R_GRID,
-                                 trials=40, seed=21)
-    assert local.records == full.records
+    assert local.records == ball_oracle(factory, 2.0, 21, range(40))[0]
     assert sum(r.realized for r in local.records) > 0
 
 
@@ -187,36 +243,33 @@ def test_grouped_suites_match_plain_factory(monkeypatch, intensity, budget):
     # groups hold an empty sample
     monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
     factory = matern_factory(intensity, 4.0, Rect(0, 100, 0, 100))
-    plain = lambda s: factory(s)  # noqa: E731
     skipped = 0
-    for make_suite in (
-            lambda f: ball_regulation_suite(f, 2.0, R_GRID, 30, 21),
-            lambda f: interference_suite(f, 2.0, MODEL, 30, 21)):
-        grouped, direct = make_suite(factory), make_suite(plain)
+    for grouped, oracle in (
+            (ball_regulation_suite(factory, 2.0, R_GRID, 30, 21), ball_oracle),
+            (interference_suite(factory, 2.0, MODEL, 30, 21),
+             interference_oracle)):
         for a, b in [(0, 30), (1, 4), (3, 30), (5, 6), (7, 7), (11, 29)]:
-            assert grouped.records(range(a, b)) == direct.records(range(a, b))
+            assert grouped.records(range(a, b)) == oracle(factory, 2.0, 21,
+                                                          range(a, b))
         skipped += grouped.records(range(30))[1]
     assert (skipped > 0) == (intensity < 0.01)
 
 
 @pytest.mark.parametrize("budget", [4000, 1000, 1])
 def test_lattice_ball_suite_matches_plain_factory(monkeypatch, budget):
-    # the lattice's one point set is counted against 8, 2 or 1 centers per
-    # pass; a plain factory's copies of it are grouped like any samples
+    # a group holds 8, 2 or 1 copies of the lattice, one per center
     monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
     lattice = lattice_factory(A_HEX, 40.0)
-    plain = lambda s: lattice(s)  # noqa: E731
-    fixed, copied = (ball_regulation_suite(f, 2.0, R_GRID, 30, 4)
-                     for f in (lattice, plain))
+    suite = ball_regulation_suite(lattice, 2.0, R_GRID, 30, 4)
     for a, b in [(0, 30), (1, 4), (7, 7), (11, 29)]:
-        assert fixed.records(range(a, b)) == copied.records(range(a, b))
+        assert suite.records(range(a, b)) == ball_oracle(lattice, 2.0, 4,
+                                                         range(a, b))
 
 
 def test_matern_ball_check_window_too_small():
     factory = matern_factory(0.1, 4.0, Rect(0, 30, 0, 30))
-    for f in (factory, lambda s: factory(s)):
-        with pytest.raises(ConfigurationError):
-            check_ball_regulation(f, 2.0, [15.0], trials=1, seed=0)
+    with pytest.raises(ConfigurationError):
+        check_ball_regulation(factory, 2.0, [15.0], trials=1, seed=0)
 
 
 def test_realized_interference_never_tops_bound_across_h():

@@ -10,11 +10,10 @@ from scipy.spatial.distance import pdist
 from cellbounds import pointset
 from cellbounds.pointset import (MarkedPointSet, Rect, SampleGroup,
                                  UnsupportedReuseError, ball_count,
-                                 ball_counts, ball_counts_around,
                                  color_lattice, from_csv,
                                  gen_matern_ii, gen_triangular_lattice,
                                  matern_groups, nearest_index, sq_dists,
-                                 to_csv, verify_hardcore)
+                                 tiled_groups, to_csv, verify_hardcore)
 
 A_HEX = 4 / math.sqrt(3.0)  # hexagon edge giving inter-site distance 4
 
@@ -232,35 +231,36 @@ def test_ball_count_empty_and_monotone():
     assert all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
 
 
-def test_ball_count_mark_filter():
-    lattice = color_lattice(gen_triangular_lattice(A_HEX, Rect(-20, 20, -20, 20)), 3)
-    total = ball_count(lattice, (0.0, 0.0), 10.0)
-    per_mark = sum(ball_count(lattice, (0.0, 0.0), 10.0, mark=m) for m in (1, 2, 3))
-    assert total == per_mark
-
-
 def test_ball_counts_match_pointwise_reference(monkeypatch):
-    lattice = color_lattice(gen_triangular_lattice(A_HEX, Rect(-20, 20, -20, 20)), 3)
+    lattice = gen_triangular_lattice(A_HEX, Rect(-20, 20, -20, 20))
     # radii 4 and 8 hit lattice sites exactly, which the open ball excludes
     radii = [0.0, 4.0, 4.01, 2.0, 8.0, 10.0, 16.0]
     centers = [(0.0, 0.0), (0.3, 0.2), (-7.5, 11.0)]
-    for mark in (None, 1, 2):
-        pts = lattice.points[[mark in (None, m) for m in lattice.marks]]
-        expected = [[sum(1 for x, y in pts
-                         if math.hypot(x - center[0], y - center[1])
-                         < r * (1 - 1e-12))
-                     for r in radii]
-                    for center in centers]
-        assert [ball_counts(lattice, center, radii, mark)
-                for center in centers] == expected
-        # all the centers in one pass, two and one at a time
-        for budget in (pointset.GROUP_POINTS, 2 * len(pts), 1):
-            monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
-            assert ball_counts_around(pts, centers, radii) == expected
-    assert ball_counts(lattice, (0.0, 0.0), []) == []
-    assert ball_counts_around(lattice.points, [], radii) == []
+    expected = [[sum(1 for x, y in lattice.points
+                     if math.hypot(x - center[0], y - center[1])
+                     < r * (1 - 1e-12))
+                 for r in radii]
+                for center in centers]
+    assert [[ball_count(lattice, center, r) for r in radii]
+            for center in centers] == expected
+    # a copy of the lattice per center: all in one group, two and one a group
+    for budget, sizes in ((pointset.GROUP_POINTS, [3]),
+                          (2 * len(lattice), [2, 1]), (1, [1, 1, 1])):
+        monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
+        groups = list(tiled_groups(lattice.points, centers))
+        assert [len(group) for group in groups] == sizes
+        counts = []
+        for group in groups:
+            counts += group.ball_counts(
+                centers[len(counts):len(counts) + len(group)], radii)
+        assert counts == expected
+        assert groups[0].ball_counts(centers[:len(groups[0])], []) == (
+            [[]] * len(groups[0]))
+    assert list(tiled_groups(lattice.points, [])) == []
     with pytest.raises(ValueError):
-        ball_counts(lattice, (0.0, 0.0), [2.0, -1.0])
+        groups[0].ball_counts(centers[:1], [2.0, -1.0])
+    with pytest.raises(ValueError):
+        ball_count(lattice, (0.0, 0.0), -1.0)
 
 
 def test_marked_point_set_validation():
@@ -333,7 +333,8 @@ def test_sample_group_queries_match_single_sets():
         first = group.starts[k]
         assert np.array_equal(group.points[first:first + len(pts)], pts)
         expected = [sum(math.dist(p, center) < r for p in pts) for r in radii]
-        assert counts[k] == ball_counts(ps, center, radii) == expected
+        assert counts[k] == [ball_count(ps, center, r) for r in radii]
+        assert counts[k] == expected
         if len(pts):
             assert nearest[k] - first == nearest_index(ps, center)
             assert d2[nearest[k]] == min(((pts - center) ** 2).sum(axis=1))
