@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
         suites.append(interference_suite(matern, h, model,
                                           args.trials, args.seed + 2))
     if args.suite in ("scheduled", "all") and args.trials > 0:
-        suites += [scheduled_suite(args.a, k, model, args.trials, args.seed,
+        suites += [scheduled_suite(args.a, k, model, args.seed,
                                    args.lattice_half_width) for k in (1, 3, 4)]
     reports = run_suites(suites)
 

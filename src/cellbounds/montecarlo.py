@@ -324,12 +324,12 @@ def check_interference_bound(factory, h: float, model: BoundedPowerLaw,
     return interference_suite(factory, h, model, trials, seed).run()
 
 
-def scheduled_suite(a: float, k: int, model: BoundedPowerLaw, trials: int,
-                    seed: int, half_width: float) -> Suite:
+def scheduled_suite(a: float, k: int, model: BoundedPowerLaw, seed: int,
+                    half_width: float) -> Suite:
     """The check of :func:`check_scheduled_bound` as a :class:`Suite` of
-    ``min(trials, 1)`` trials: the lattice is the same in every trial."""
+    one trial: the lattice is the same in every trial."""
     lattice = lattice_factory(a, half_width, k)(seed)
-    return Suite(f"scheduled-bound-k{k}", min(trials, 1),
+    return Suite(f"scheduled-bound-k{k}", 1,
                  partial(_scheduled_records, lattice, hardcore_for_reuse(a, k),
                          model, seed))
 
@@ -370,4 +370,4 @@ def check_scheduled_bound(a: float, k: int, model: BoundedPowerLaw,
     h_k); for that record `realized` holds the guaranteed SINR and `bound`
     the achieved one, keeping ratio <= 1 on success.
     """
-    return scheduled_suite(a, k, model, 1, seed, half_width).run()
+    return scheduled_suite(a, k, model, seed, half_width).run()

@@ -32,7 +32,7 @@ from ._textio import is_path, write_lines
 from .hexnet import UnsupportedReuseError
 
 _REL_SLACK = 1e-12
-# Relative inflation of the reach of a local Matern sample (see gen_matern_ii).
+# Relative inflation of the reach of a local Matern sample (see matern_groups).
 _REACH_SLACK = 1e-9
 # Poisson points thinned in one kernel call by matern_groups: about 4 full
 # samples at the verify defaults, or 25 of the ball suite's local ones.
@@ -289,7 +289,16 @@ def matern_groups(intensity: float, hardcore_radius: float, window: Rect,
     :func:`cellbounds.kernels.matern_keep_mask`, as soon as their Poisson
     points to be thinned reach ``GROUP_POINTS``; the last group may hold
     fewer.  Each yielded group holds the retained points of its samples,
-    equal point for point to :func:`gen_matern_ii` of the same arguments.
+    equal point for point to :func:`gen_matern_ii` of the same seed.
+
+    With ``near=(center, reach)`` the sample is the full one restricted to
+    the closed square of half-width ``reach`` around ``center``: the same
+    points in the same order.  The thinning has finite range, since whether
+    a point is retained depends only on the Poisson points within
+    ``hardcore_radius`` of it, so only the Poisson points within ``reach +
+    hardcore_radius`` of the center (in the max norm) are thinned.  The
+    whole Poisson sample is still drawn, so the random stream is the same
+    as without ``near``.
     """
     check_matern(intensity, hardcore_radius)
     ext = window.expand(hardcore_radius)
@@ -349,7 +358,7 @@ def _thin(hardcore_radius: float, window: Rect, xs, ys, ages,
 
 
 def gen_matern_ii(intensity: float, hardcore_radius: float, window: Rect,
-                  seed: int, near=None) -> MarkedPointSet:
+                  seed: int) -> MarkedPointSet:
     """Sample a Matern type-II hardcore process on the window.
 
     A homogeneous Poisson sample of the given intensity is drawn on the
@@ -360,19 +369,10 @@ def gen_matern_ii(intensity: float, hardcore_radius: float, window: Rect,
     its minimum pairwise distance is >= hardcore_radius.  Bit-reproducible
     for a fixed seed.
 
-    With ``near=(center, reach)`` the result is the full sample restricted
-    to the closed square of half-width ``reach`` around ``center``: the same
-    points in the same order.  The thinning has finite range, since whether
-    a point is retained depends only on the Poisson points within
-    ``hardcore_radius`` of it, so only the points of the Poisson sample
-    within ``reach + hardcore_radius`` of the center (in the max norm) are
-    thinned.  The whole Poisson sample is still drawn, so the random stream
-    is the same as without ``near``.
-
     This is the one-sample case of :func:`matern_groups`.
     """
     (group,) = matern_groups(intensity, hardcore_radius, window,
-                             [(seed, near)])
+                             [(seed, None)])
     return MarkedPointSet(group.points, np.ones(len(group.points),
                                                 dtype=np.int64), window)
 

@@ -186,11 +186,10 @@ def test_matern_near_is_full_sample_restricted(seed, intensity, radius, reach,
     inner = window.shrink(reach)
     center = (inner.xmin + fx * inner.width, inner.ymin + fy * inner.height)
     full = gen_matern_ii(intensity, radius, window, seed)
-    near = gen_matern_ii(intensity, radius, window, seed,
-                         near=(center, reach))
+    (near,) = matern_groups(intensity, radius, window,
+                            [(seed, (center, reach))])
     inside = (np.abs(full.points - center) <= reach).all(axis=1)
     assert np.array_equal(near.points, full.points[inside])
-    assert near.window == window
 
 
 def test_nearest_point_at_cell_vertex():
@@ -346,8 +345,12 @@ def test_matern_groups_equal_gen_matern_ii(monkeypatch):
     window = Rect(0, 60, 0, 60)
     draws = [(seed, None if seed % 3 else ((20.0 + seed, 30.0), 12.0))
              for seed in range(12)]
-    expected = [gen_matern_ii(0.1, 4.0, window, seed, near=near).points
-                for seed, near in draws]
+    expected = []
+    for seed, near in draws:
+        points = gen_matern_ii(0.1, 4.0, window, seed).points
+        if near is not None:  # the full sample restricted to the square
+            points = points[(np.abs(points - near[0]) <= near[1]).all(axis=1)]
+        expected.append(points)
     for budget in (1, 500, 10 ** 6):
         monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
         groups = list(matern_groups(0.1, 4.0, window, draws))
