@@ -7,7 +7,7 @@ from .bounds import (BallRegulation, conditional_bound_general,
                      exclusion_radius, hardcore_regulation_constants,
                      interference_bound, legacy_bound, shot_noise_bound)
 from .guarantees import (CriticalPower, InfeasibleError, LinkBudget,
-                         RateGuarantee, critical_power, criticality_feasible,
+                         critical_power, criticality_feasible,
                          rate_always_active, rate_scheduled, solve_critical_hk,
                          theta)
 from .hexnet import (HexRatePoint, UnsupportedReuseError, hardcore_for_reuse,
@@ -53,7 +53,6 @@ __all__ = [
     "InfeasibleError",
     "LinkBudget",
     "MarkedPointSet",
-    "RateGuarantee",
     "Rect",
     "TrialRecord",
     "UnsupportedReuseError",

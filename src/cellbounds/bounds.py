@@ -50,8 +50,6 @@ class BallRegulation:
     def count_bound(self, radius: float) -> float:
         return self.sigma + self.rho * radius + self.nu * radius * radius
 
-    __call__ = count_bound
-
     def slope(self, radius: float) -> float:
         return self.rho + 2 * self.nu * radius
 
@@ -107,7 +105,7 @@ def conditional_bound_general(model: BoundedPowerLaw, envelope: BallRegulation,
           = l(t) G(t) + int_t^R l(r) G'(r) dr,
 
     evaluated here in the integration-by-parts form with adaptive
-    quadrature, split at the model's non-smooth radii.
+    quadrature, split at r = 1, where the model is not smooth.
     """
     from scipy.integrate import quad
 
@@ -122,12 +120,11 @@ def conditional_bound_general(model: BoundedPowerLaw, envelope: BallRegulation,
     def integrand(r):
         return model.eval(r) * envelope.slope(r)
 
-    cuts = sorted(b for b in model.quad_breakpoints if t < b < radius)
     total = 0.0
     lo = t
-    for b in cuts:
-        total += quad(integrand, lo, b, **_QUAD_OPTS)[0]
-        lo = b
+    if t < 1.0 < radius:
+        total += quad(integrand, t, 1.0, **_QUAD_OPTS)[0]
+        lo = 1.0
     total += quad(integrand, lo, radius, **_QUAD_OPTS)[0]
     return boundary + total
 

@@ -17,9 +17,9 @@ import sys
 
 from ._textio import write_lines
 from .bounds import exclusion_radius, interference_bound, legacy_bound
-from .guarantees import (InfeasibleError, LinkBudget, criticality_feasible,
-                         critical_power, rate_always_active, rate_scheduled,
-                         solve_critical_hk)
+from .guarantees import (InfeasibleError, criticality_feasible,
+                         critical_power, link_at_snr, rate_always_active,
+                         rate_scheduled, solve_critical_hk)
 from .hexnet import hex_rate_sweep
 from .pathloss import BoundedPowerLaw, DivergenceError
 
@@ -109,20 +109,18 @@ def cmd_bound_compare(args) -> int:
 
 
 def cmd_rate_vs_hk(args) -> int:
-    model = BoundedPowerLaw(args.alpha)
-    snr = 10.0 ** (args.snr_db / 10.0)
-    link = LinkBudget(args.power, args.power * model.eval(args.d) / snr,
-                      args.d, model)
+    link = link_at_snr(args.power, args.d, BoundedPowerLaw(args.alpha),
+                       args.snr_db)
     params = {"command": "rate-vs-hk", "k": args.k, "hardcore": args.hardcore,
               "d": args.d, "snr_db": args.snr_db, "alpha": args.alpha,
               "power": args.power, "hk_min": args.hk_min, "hk_max": args.hk_max,
               "hk_step": args.hk_step, "log_base": args.log_base}
-    aa = rate_always_active(link, args.hardcore, args.log_base).rate
+    aa = rate_always_active(link, args.hardcore, args.log_base)
     feasible = criticality_feasible(link, args.hardcore, args.k)
     hk_star = solve_critical_hk(link, args.hardcore, args.k) if feasible else None
     rows = []
     for h_k in _grid(args.hk_min, args.hk_max, args.hk_step):
-        sched = rate_scheduled(link, args.k, h_k, args.log_base).rate
+        sched = rate_scheduled(link, args.k, h_k, args.log_base)
         rows.append((h_k, sched, aa, hk_star))
     footer = [] if feasible else [
         "criticality infeasible: log(1+SNR) < k*log(1+theta); "
@@ -134,10 +132,8 @@ def cmd_rate_vs_hk(args) -> int:
 
 def cmd_critical_power(args) -> int:
     ks = args.k or [3, 4]
-    model = BoundedPowerLaw(args.alpha)
-    snr = 10.0 ** (args.snr_db / 10.0)
-    link = LinkBudget(args.power, args.power * model.eval(args.d) / snr,
-                      args.d, model)
+    link = link_at_snr(args.power, args.d, BoundedPowerLaw(args.alpha),
+                       args.snr_db)
     params = {"command": "critical-power", "k": " ".join(map(_fmt, ks)),
               "hardcore": args.hardcore, "d": args.d, "snr_db": args.snr_db,
               "alpha": args.alpha, "power": args.power, "hk_min": args.hk_min,
@@ -238,6 +234,15 @@ def build_parser() -> _Parser:
         p.add_argument("--out", type=str, default=None,
                        help="output CSV path (default: stdout)")
 
+    def link_options(p):
+        p.add_argument("--hardcore", type=float, default=2.0)
+        p.add_argument("--d", type=float, default=_DEFAULT_A)
+        p.add_argument("--snr-db", type=float, default=0.0)
+        p.add_argument("--power", type=float, default=1.0)
+        p.add_argument("--hk-min", type=float, default=2.0)
+        p.add_argument("--hk-max", type=float, default=8.0)
+        p.add_argument("--hk-step", type=float, default=0.1)
+
     p = sub.add_parser("bound-compare",
                        help="new vs legacy interference bound over the "
                             "exclusion radius t")
@@ -254,13 +259,7 @@ def build_parser() -> _Parser:
                             "separation h_k")
     common(p)
     p.add_argument("--k", type=int, default=3, help="reuse factor")
-    p.add_argument("--hardcore", type=float, default=2.0)
-    p.add_argument("--d", type=float, default=_DEFAULT_A)
-    p.add_argument("--snr-db", type=float, default=0.0)
-    p.add_argument("--power", type=float, default=1.0)
-    p.add_argument("--hk-min", type=float, default=2.0)
-    p.add_argument("--hk-max", type=float, default=8.0)
-    p.add_argument("--hk-step", type=float, default=0.1)
+    link_options(p)
     p.add_argument("--log-base", choices=("nat", "2"), default="nat")
     p.set_defaults(func=cmd_rate_vs_hk)
 
@@ -268,13 +267,7 @@ def build_parser() -> _Parser:
                        help="reduced power preserving the always-active "
                             "guarantee, over h_k")
     common(p, k_list=True)
-    p.add_argument("--hardcore", type=float, default=2.0)
-    p.add_argument("--d", type=float, default=_DEFAULT_A)
-    p.add_argument("--snr-db", type=float, default=0.0)
-    p.add_argument("--power", type=float, default=1.0)
-    p.add_argument("--hk-min", type=float, default=2.0)
-    p.add_argument("--hk-max", type=float, default=8.0)
-    p.add_argument("--hk-step", type=float, default=0.1)
+    link_options(p)
     p.set_defaults(func=cmd_critical_power)
 
     p = sub.add_parser("hex-sweep",

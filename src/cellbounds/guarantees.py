@@ -58,19 +58,19 @@ class LinkBudget:
     def snr(self) -> float:
         return self.power * self.model.eval(self.distance) / self.noise
 
-    def scaled(self, power: float) -> "LinkBudget":
-        """Same link with a different transmit power."""
-        return LinkBudget(power, self.noise, self.distance, self.model)
 
-
-@dataclass(frozen=True)
-class RateGuarantee:
-    """Guaranteed SINR and the normalized rate it implies."""
-
-    k: int
-    theta: float
-    rate: float
-    log_base: str = "nat"
+def link_at_snr(power: float, distance: float, model: BoundedPowerLaw,
+                snr_db: float) -> LinkBudget:
+    """The link whose SNR is ``snr_db`` decibels: its noise power is
+    W = P l(d) / 10^(snr_db/10)."""
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not 0 < snr < math.inf:  # also a NaN SNR
+        raise ValueError(f"an SNR of {snr_db} dB is out of float range")
+    return LinkBudget(power, power * model.eval(distance) / snr, distance,
+                      model)
 
 
 @dataclass(frozen=True)
@@ -92,19 +92,19 @@ def theta(link: LinkBudget, h: float) -> float:
 
 
 def rate_always_active(link: LinkBudget, h: float,
-                       log_base: str = "nat") -> RateGuarantee:
-    """Normalized-rate guarantee when every transmitter is always on."""
-    th = theta(link, h)
-    return RateGuarantee(1, th, _log1p_base(th, log_base), log_base)
+                       log_base: str = "nat") -> float:
+    """Normalized-rate guarantee log(1 + theta(P, h)) when every
+    transmitter is always on."""
+    return _log1p_base(theta(link, h), log_base)
 
 
 def rate_scheduled(link: LinkBudget, k: int, h_k: float,
-                   log_base: str = "nat") -> RateGuarantee:
-    """Normalized-rate guarantee under periodic scheduling into k classes."""
+                   log_base: str = "nat") -> float:
+    """Normalized-rate guarantee (1/k) log(1 + theta(P, h_k)) under periodic
+    scheduling into k classes."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    th = theta(link, h_k)
-    return RateGuarantee(k, th, _log1p_base(th, log_base) / k, log_base)
+    return _log1p_base(theta(link, h_k), log_base) / k
 
 
 def criticality_feasible(link: LinkBudget, h: float, k: int) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .guarantees import LinkBudget, rate_always_active, rate_scheduled
+from .guarantees import link_at_snr, rate_always_active, rate_scheduled
 from .pathloss import BoundedPowerLaw
 
 _HARDCORE_PER_EDGE = {1: math.sqrt(3.0) / 2, 3: 1.5, 4: math.sqrt(3.0)}
@@ -53,15 +53,13 @@ def hex_rate_sweep(a: float, power: float, model: BoundedPowerLaw,
     h1 = hardcore_for_reuse(a, 1)
     h3 = hardcore_for_reuse(a, 3)
     h4 = hardcore_for_reuse(a, 4)
-    signal = power * model.eval(a)
     rows = []
     for snr_db in snr_db_grid:
-        snr = 10.0 ** (snr_db / 10.0)
-        link = LinkBudget(power, signal / snr, a, model)
+        link = link_at_snr(power, a, model, snr_db)
         rows.append(HexRatePoint(
             float(snr_db),
-            rate_always_active(link, h1, log_base).rate,
-            rate_scheduled(link, 3, h3, log_base).rate,
-            rate_scheduled(link, 4, h4, log_base).rate,
+            rate_always_active(link, h1, log_base),
+            rate_scheduled(link, 3, h3, log_base),
+            rate_scheduled(link, 4, h4, log_base),
         ))
     return rows

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import kernels
 from ._shards import default_workers, map_shards
-from ._textio import write_lines
 from .bounds import exclusion_radius, hardcore_regulation_constants, interference_bound
 from .guarantees import LinkBudget, theta
 from .hexnet import hardcore_for_reuse
@@ -81,11 +80,6 @@ class VerificationReport:
         if self.skipped:
             line += f" skipped={self.skipped}"
         return line
-
-    def write_csv(self, path_or_file) -> None:
-        """Records as CSV with header ``seed,d,t,realized,bound,ratio``."""
-        write_lines(path_or_file, [",".join(TrialRecord.CSV_FIELDS),
-                                   *map(TrialRecord.csv_row, self.records)])
 
 
 def _violates(r: TrialRecord) -> bool:
@@ -174,7 +168,7 @@ def _ball_center(window: Rect, r_max: float, seed: int, index: int):
 
 
 class Suite(NamedTuple):
-    """A trial-indexed check, to be run whole or in shards of its trials.
+    """A trial-indexed check, run in shards of its trials by :func:`run_suites`.
 
     ``records(trial_range)`` gives the records of the trials with those
     indices and how many of them were skipped.  A record depends only on
@@ -185,10 +179,6 @@ class Suite(NamedTuple):
     label: str
     trials: int
     records: Callable[[range], tuple[list[TrialRecord], int]]
-
-    def run(self) -> VerificationReport:
-        return _finalize(self.label, self.trials,
-                         *self.records(range(self.trials)))
 
 
 def run_suites(suites: list[Suite],
@@ -267,9 +257,11 @@ def check_ball_regulation(factory, h: float, r_grid, trials: int,
     each checked ball lies fully inside the window.  The factory is a
     source (see :func:`matern_factory`), asked only for the points within
     max(R) of each center, and the balls of a group of its samples are
-    counted in one pass.
+    counted in one pass.  The trials run sharded, as in ``verify`` (see
+    :func:`run_suites`).
     """
-    return ball_regulation_suite(factory, h, r_grid, trials, seed).run()
+    return run_suites([ball_regulation_suite(factory, h, r_grid, trials,
+                                             seed)])[0]
 
 
 def interference_suite(factory, h: float, model: BoundedPowerLaw,
@@ -319,9 +311,11 @@ def check_interference_bound(factory, h: float, model: BoundedPowerLaw,
     Per trial: the user sits at the window center, associates with the
     nearest point x0 at distance d, and the realized sum of l(|x - user|)
     over all other points is checked against interference_bound(l, h, d).
-    Empty samples are skipped and counted.
+    Empty samples are skipped and counted.  The trials run sharded, as in
+    ``verify`` (see :func:`run_suites`).
     """
-    return interference_suite(factory, h, model, trials, seed).run()
+    return run_suites([interference_suite(factory, h, model, trials,
+                                          seed)])[0]
 
 
 def scheduled_suite(a: float, k: int, model: BoundedPowerLaw, seed: int,
@@ -370,4 +364,4 @@ def check_scheduled_bound(a: float, k: int, model: BoundedPowerLaw,
     h_k); for that record `realized` holds the guaranteed SINR and `bound`
     the achieved one, keeping ratio <= 1 on success.
     """
-    return scheduled_suite(a, k, model, seed, half_width).run()
+    return run_suites([scheduled_suite(a, k, model, seed, half_width)])[0]

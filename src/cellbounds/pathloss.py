@@ -7,37 +7,19 @@ together with the two closed-form integrals
     tail_integral(t)          = int_t^inf l(r) dr
     weighted_tail_integral(t) = int_t^inf r l(r) dr
 
-``eval`` takes a scalar or an array.  A scalar distance is evaluated with
-float arithmetic (libm ``pow``) and gives a Python ``float``; an array is
-evaluated with numpy and gives an array.  numpy is imported only on the
-array path, so the analytic sweeps, which evaluate scalars alone, run
-without loading it.
+``eval`` takes one scalar distance and gives a Python ``float``, computed
+with float arithmetic (libm ``pow``), so the analytic sweeps run without
+loading numpy.  The certifier's sums over point sets use the array form in
+:func:`cellbounds.kernels.bounded_power_law_sum`.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-
-
-# float first: it covers Python floats and numpy float64 without the much
-# slower abstract-base-class check that other real scalars need
-_REAL_SCALAR = (float, numbers.Real)
 
 
 class DivergenceError(ValueError):
     """Requested integral of the attenuation model diverges."""
-
-
-def _scalar_distance(r) -> float | None:
-    """``r`` as a float if it is a real scalar, else None; rejects negative
-    and NaN distances (+inf is valid: l(inf) = 0)."""
-    if not isinstance(r, _REAL_SCALAR):
-        return None
-    r = float(r)
-    if not r >= 0:
-        raise ValueError(f"distance must be non-negative, got {r}")
-    return r
 
 
 class BoundedPowerLaw:
@@ -53,26 +35,12 @@ class BoundedPowerLaw:
     def __repr__(self):
         return f"BoundedPowerLaw(alpha={self.alpha})"
 
-    @property
-    def quad_breakpoints(self):
-        """Radii where the model is not smooth (quadrature split points)."""
-        return (1.0,)
-
-    def eval(self, r):
-        """Attenuation at distance r >= 0; a real scalar gives a float, an
-        array gives an array."""
-        x = _scalar_distance(r)
-        if x is not None:
-            return x ** -self.alpha if x > 1.0 else 1.0
-        import numpy as np
-
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if not np.all(arr >= 0):
-            raise ValueError("distance must be non-negative")
-        out = np.ones_like(arr)
-        far = arr > 1.0
-        out[far] = arr[far] ** -self.alpha
-        return float(out[0]) if np.ndim(r) == 0 else out
+    def eval(self, r: float) -> float:
+        """Attenuation at distance r >= 0 (+inf is valid: l(inf) = 0)."""
+        r = float(r)
+        if not r >= 0:  # also a NaN distance
+            raise ValueError(f"distance must be non-negative, got {r}")
+        return r ** -self.alpha if r > 1.0 else 1.0
 
     def tail_integral(self, t: float) -> float:
         """int_t^inf l(r) dr.  Diverges unless alpha > 1."""

@@ -1,9 +1,11 @@
 """Acceptance suite: every headline claim of the toolkit at its stated
 tolerance, one pass/fail line per criterion (run with -s to see them)."""
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,14 +86,14 @@ def test_criterion_3_round_trip_identities():
             if not criticality_feasible(link, h, k):
                 continue
             checked += 1
-            aa = rate_always_active(link, h).rate
+            aa = rate_always_active(link, h)
             h_star = solve_critical_hk(link, h, k)
-            assert rate_scheduled(link, k, h_star).rate == pytest.approx(
+            assert rate_scheduled(link, k, h_star) == pytest.approx(
                 aa, rel=1e-9)
             h_k = h_star * rng.uniform(1.0, 2.0)
             reduced = critical_power(link, h, k, h_k)
-            dialed = link.scaled(reduced.p_k_star)
-            assert rate_scheduled(dialed, k, h_k).rate == pytest.approx(
+            dialed = replace(link, power=reduced.p_k_star)
+            assert rate_scheduled(dialed, k, h_k) == pytest.approx(
                 aa, rel=1e-9)
 
 
@@ -116,14 +118,14 @@ def test_criterion_5_regime_flip():
     with criterion(5, "scheduling wins at 0 dB with the lattice separations; "
                       "always active wins at -5 dB for every h_k"):
         link = reference_link(snr_db=0.0)
-        aa = rate_always_active(link, H_AA).rate
-        assert rate_scheduled(link, 3, H3).rate > aa
-        assert rate_scheduled(link, 4, H4).rate > aa
+        aa = rate_always_active(link, H_AA)
+        assert rate_scheduled(link, 3, H3) > aa
+        assert rate_scheduled(link, 4, H4) > aa
         low = reference_link(snr_db=-5.0)
-        aa_low = rate_always_active(low, H_AA).rate
+        aa_low = rate_always_active(low, H_AA)
         for h_k in np.arange(2.0, 8.0 + 1e-9, 0.1):
-            assert rate_scheduled(low, 3, float(h_k)).rate < aa_low
-            assert rate_scheduled(low, 4, float(h_k)).rate < aa_low
+            assert rate_scheduled(low, 3, float(h_k)) < aa_low
+            assert rate_scheduled(low, 4, float(h_k)) < aa_low
 
 
 def test_criterion_6_almost_sure_dominance(tmp_path):
@@ -140,6 +142,8 @@ def test_criterion_6_almost_sure_dominance(tmp_path):
                 if ln and not ln.startswith("#")]
         assert rows[0] == "seed,d,t,realized,bound,ratio"
         assert len(rows) > 9000  # 2 x 4000 ball checks + 1000 interference
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7326befb9e31fa93ccf2fe749a0ebe2becf762efce8178df7e48679dcb09aa3f")
 
 
 def test_criterion_7_oracle_equivalence():

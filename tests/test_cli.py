@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -9,6 +10,21 @@ from hypothesis import strategies as st
 from cellbounds import cli
 
 A_HEX = 4 / math.sqrt(3.0)
+
+# sha256 of each sweep's CSV at its CLI defaults
+SWEEP_SHA256 = {
+    "bound-compare":
+        "3298d58a92705bba61b0ca2d298aa8186ca8daf71cbc8df4a48e05eb2eed0e9d",
+    "rate-vs-hk":
+        "6752a90ca55cf8ae60906c4a98a9150df8104ee6daa6b7b02776f13611f4a86a",
+    "critical-power":
+        "764878eb05a76f14f18cf743ae237afd2efd88d9109e97f016190297213b069e",
+    "hex-sweep":
+        "abbd8f1ca5d3d70e27999f51b05590592f2582db9537d573b5d8b19c12731ae5",
+}
+# sha256 of verify --suite all --trials 3 --window 400 --seed 5
+WIDE_VERIFY_SHA256 = (
+    "7c68152e18da376ffc491e9217567ab061270866cf2c3cddff68d6a792b412bb")
 
 
 def run(tmp_path, name, *argv):
@@ -193,6 +209,14 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv):
     ("rate-vs-hk", "--hk-step", "1e-300"),
     ("critical-power", "--hk-step", "1e-300"),
     ("rate-vs-hk", "--d", "nan"),
+    # an SNR whose linear value underflows to 0 or overflows
+    ("rate-vs-hk", "--snr-db", "-4000"),
+    ("rate-vs-hk", "--snr-db=-inf"),
+    ("hex-sweep", "--snr-min", "-4000", "--snr-max", "-3999",
+     "--snr-step", "1"),
+    ("rate-vs-hk", "--snr-db", "4000"),
+    ("critical-power", "--snr-db", "4000"),
+    ("hex-sweep", "--snr-min", "4000", "--snr-max", "4000"),
 ])
 def test_bad_grid_or_distance_is_one_line_usage_error(tmp_path, capsys, argv):
     # the 1e-300 step asks for ~6e300 points: refused before any is built
@@ -201,6 +225,21 @@ def test_bad_grid_or_distance_is_one_line_usage_error(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_SHA256))
+def test_sweep_csv_bytes_are_pinned(tmp_path, command):
+    code, out = run(tmp_path, f"{command}.csv", command)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[command]
+
+
+def test_wide_verify_csv_bytes_are_pinned(tmp_path):
+    # about 17k points per Matern sample: the most thinning batch cuts
+    code, out = run(tmp_path, "wide.csv", "verify", "--suite", "all",
+                    "--trials", "3", "--window", "400", "--seed", "5")
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_VERIFY_SHA256
 
 
 def test_verify_detects_corrupted_hardcore_claim(tmp_path):

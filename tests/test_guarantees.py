@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from cellbounds.guarantees import (CriticalPower, InfeasibleError, LinkBudget,
                                    critical_power, criticality_feasible,
-                                   rate_always_active, rate_scheduled,
-                                   solve_critical_hk, theta)
+                                   link_at_snr, rate_always_active,
+                                   rate_scheduled, solve_critical_hk, theta)
 from cellbounds.pathloss import BoundedPowerLaw
 
 D_HEX = 4 / math.sqrt(3.0)
@@ -53,6 +54,20 @@ def test_link_budget_validation_and_snr():
                 LinkBudget(*args, BoundedPowerLaw(4))
 
 
+def test_link_at_snr_noise_and_range():
+    model = BoundedPowerLaw(4)
+    for power, snr_db in ((1.0, 0.0), (2.0, -7.5), (0.5, 12.0)):
+        link = link_at_snr(power, D_HEX, model, snr_db)
+        ref = reference_link(snr_db, power)
+        assert (link.power, link.noise, link.distance, link.model) == (
+            ref.power, ref.noise, ref.distance, model)
+        assert link.snr == pytest.approx(10.0 ** (snr_db / 10.0), rel=1e-12)
+    # the linear SNR underflows to 0, overflows or is NaN
+    for bad in (-4000.0, -math.inf, 4000.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="out of float range"):
+            link_at_snr(1.0, D_HEX, model, bad)
+
+
 def test_theta_reference_value():
     assert theta(reference_link(), 2.0) == pytest.approx(
         0.1610065885770133, rel=1e-12)
@@ -70,33 +85,34 @@ def test_theta_strictly_increasing_in_h_and_power():
     link = reference_link()
     values = [theta(link, h) for h in np.linspace(1.0, 12.0, 30)]
     assert all(x < y for x, y in zip(values, values[1:]))
-    powers = [theta(link.scaled(p), 2.0) for p in np.linspace(0.2, 3.0, 15)]
+    powers = [theta(replace(link, power=p), 2.0)
+              for p in np.linspace(0.2, 3.0, 15)]
     assert all(x < y for x, y in zip(powers, powers[1:]))
 
 
 def test_rate_always_active_values():
     link = reference_link()
     guarantee = rate_always_active(link, 2.0)
-    assert guarantee.k == 1
-    assert guarantee.rate == pytest.approx(0.14928737761525365, rel=1e-12)
+    assert type(guarantee) is float
+    assert guarantee == pytest.approx(0.14928737761525365, rel=1e-12)
     noisy = LinkBudget(link.power, 1e12, link.distance, link.model)
-    assert rate_always_active(noisy, 2.0).rate < 1e-9
+    assert rate_always_active(noisy, 2.0) < 1e-9
     bits = rate_always_active(link, 2.0, log_base="2")
-    assert bits.rate == pytest.approx(guarantee.rate / math.log(2.0), rel=1e-12)
+    assert bits == pytest.approx(guarantee / math.log(2.0), rel=1e-12)
 
 
 def test_rate_scheduled_values():
     link = reference_link()
     aa = rate_always_active(link, 2.0)
     k1 = rate_scheduled(link, 1, 2.0)
-    assert k1.rate == pytest.approx(aa.rate, rel=1e-15)
+    assert type(k1) is float
+    assert k1 == pytest.approx(aa, rel=1e-15)
     k3 = rate_scheduled(link, 3, H3)
-    assert k3.rate == pytest.approx(0.17936180805151722, rel=1e-12)
+    assert k3 == pytest.approx(0.17936180805151722, rel=1e-12)
     k4 = rate_scheduled(link, 4, H4)
-    assert k4.rate == pytest.approx(0.1522095111934214, rel=1e-12)
+    assert k4 == pytest.approx(0.1522095111934214, rel=1e-12)
     # the slot share is the only k dependence at fixed separation
-    assert rate_scheduled(link, 6, H3).rate == pytest.approx(
-        k3.rate / 2, rel=1e-12)
+    assert rate_scheduled(link, 6, H3) == pytest.approx(k3 / 2, rel=1e-12)
 
 
 def test_criticality_feasible_cases():
@@ -144,8 +160,8 @@ def test_solve_critical_hk_scale_invariance():
 def test_solve_critical_hk_base_independent():
     link = reference_link()
     h_star = solve_critical_hk(link, 2.0, 3)
-    lhs = rate_scheduled(link, 3, h_star, log_base="2").rate
-    rhs = rate_always_active(link, 2.0, log_base="2").rate
+    lhs = rate_scheduled(link, 3, h_star, log_base="2")
+    rhs = rate_always_active(link, 2.0, log_base="2")
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -153,18 +169,18 @@ def test_rate_round_trip_at_critical_separation():
     for k in (3, 4):
         for link, h in random_feasible_links(k, 10, seed=100 + k):
             h_star = solve_critical_hk(link, h, k)
-            sched = rate_scheduled(link, k, h_star).rate
-            aa = rate_always_active(link, h).rate
+            sched = rate_scheduled(link, k, h_star)
+            aa = rate_always_active(link, h)
             assert sched == pytest.approx(aa, rel=1e-9)
 
 
 def test_scheduling_verdict_flips_at_critical_separation():
     link = reference_link()
-    aa = rate_always_active(link, 2.0).rate
+    aa = rate_always_active(link, 2.0)
     for k in (3, 4):
         h_star = solve_critical_hk(link, 2.0, k)
-        assert rate_scheduled(link, k, 1.05 * h_star).rate > aa
-        assert rate_scheduled(link, k, 0.95 * h_star).rate < aa
+        assert rate_scheduled(link, k, 1.05 * h_star) > aa
+        assert rate_scheduled(link, k, 0.95 * h_star) < aa
 
 
 def test_critical_power_reference_values():
@@ -194,9 +210,9 @@ def test_critical_power_round_trip():
             h_k = 1.3 * h_star
             reduced = critical_power(link, h, k, h_k)
             assert reduced.feasible
-            dialed = link.scaled(reduced.p_k_star)
-            assert rate_scheduled(dialed, k, h_k).rate == pytest.approx(
-                rate_always_active(link, h).rate, rel=1e-9)
+            dialed = replace(link, power=reduced.p_k_star)
+            assert rate_scheduled(dialed, k, h_k) == pytest.approx(
+                rate_always_active(link, h), rel=1e-9)
 
 
 @settings(max_examples=200, deadline=None)

@@ -68,7 +68,7 @@ def test_aa_column_is_reuse_independent():
     (row,) = sweep([3.0])
     snr = 10.0 ** 0.3
     link = LinkBudget(1.0, model.eval(A_HEX) / snr, A_HEX, model)
-    k1 = rate_scheduled(link, 1, hardcore_for_reuse(A_HEX, 1)).rate
+    k1 = rate_scheduled(link, 1, hardcore_for_reuse(A_HEX, 1))
     assert row.rate_aa == pytest.approx(k1, rel=1e-12)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cellbounds import kernels, pointset
+from cellbounds import cli, kernels, montecarlo, pointset
 from cellbounds.bounds import (exclusion_radius, hardcore_regulation_constants,
                                interference_bound)
 from cellbounds.guarantees import LinkBudget, theta
@@ -192,8 +192,9 @@ def test_report_csv_format_and_determinism():
     factory = matern_factory(0.1, 4.0, Rect(0, 100, 0, 100))
     report = check_interference_bound(factory, 2.0, MODEL, trials=5, seed=9)
     buf1, buf2 = io.StringIO(), io.StringIO()
-    report.write_csv(buf1)
-    report.write_csv(buf2)
+    for buf in (buf1, buf2):
+        cli._write_csv(buf, {}, TrialRecord.CSV_FIELDS, report.records,
+                       row_format=TrialRecord.csv_row)
     assert buf1.getvalue() == buf2.getvalue()
     lines = buf1.getvalue().splitlines()
     assert lines[0] == "seed,d,t,realized,bound,ratio"
@@ -264,6 +265,23 @@ def test_lattice_ball_suite_matches_plain_factory(monkeypatch, budget):
     for a, b in [(0, 30), (1, 4), (7, 7), (11, 29)]:
         assert suite.records(range(a, b)) == ball_oracle(lattice, 2.0, 4,
                                                          range(a, b))
+
+
+def test_check_wrappers_are_the_same_for_any_worker_count(monkeypatch):
+    # 7 trials leave uneven shards over 2 and 3 workers
+    factory = matern_factory(0.1, 4.0, Rect(0, 100, 0, 100))
+    lattice = lattice_factory(A_HEX, 40.0)
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "default_workers",
+                            lambda trials: workers)
+        reports.append((
+            check_ball_regulation(lattice, 2.0, R_GRID, trials=7, seed=3),
+            check_ball_regulation(factory, 2.0, R_GRID, trials=7, seed=3),
+            check_interference_bound(factory, 2.0, MODEL, trials=7, seed=3)))
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+    assert [len(rep.records) for rep in reports[0]] == [28, 28, 7]
 
 
 def test_matern_ball_check_window_too_small():

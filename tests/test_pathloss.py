@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cellbounds import kernels
 from cellbounds.pathloss import BoundedPowerLaw, DivergenceError
 
 
@@ -15,26 +16,21 @@ def quad_tail(model, t, weighted=False):
         f = lambda r: r * model.eval(r)
     else:
         f = lambda r: model.eval(r)
-    cuts = [b for b in model.quad_breakpoints if t < b]
     total = 0.0
     lo = t
-    for b in cuts:
-        total += quad(f, lo, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-        lo = b
+    if t < 1.0:  # split where the model is not smooth
+        total += quad(f, t, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+        lo = 1.0
     total += quad(f, lo, math.inf, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     return total
 
 
 def test_power_law_eval_values():
     assert BoundedPowerLaw(4).eval(0.0) == 1.0
+    assert BoundedPowerLaw(4).eval(0.5) == 1.0
+    assert BoundedPowerLaw(4).eval(1.0) == 1.0
     assert BoundedPowerLaw(4).eval(2.0) == pytest.approx(0.0625, rel=1e-15)
     assert BoundedPowerLaw(2.5).eval(1.0) == 1.0
-
-
-def test_power_law_eval_accepts_arrays():
-    model = BoundedPowerLaw(4)
-    out = model.eval(np.array([0.0, 0.5, 1.0, 2.0]))
-    assert out == pytest.approx([1.0, 1.0, 1.0, 0.0625])
 
 
 def test_power_law_eval_rejects_negative_distance():
@@ -44,22 +40,25 @@ def test_power_law_eval_rejects_negative_distance():
 
 @pytest.mark.parametrize("model", [BoundedPowerLaw(4), BoundedPowerLaw(2.5)])
 def test_eval_rejects_nan_distance_and_accepts_inf(model):
-    for bad in (math.nan, np.float64("nan"), np.array([1.0, math.nan])):
+    for bad in (math.nan, np.float64("nan")):
         with pytest.raises(ValueError):
             model.eval(bad)
     assert model.eval(math.inf) == 0.0
-    assert model.eval(np.array([math.inf])).tolist() == [0.0]
+    assert model.eval(np.float64(math.inf)) == 0.0
 
 
 @settings(max_examples=300, deadline=None)
 @given(r=st.floats(0.0, 1e3), alpha=st.floats(2.5, 6.0))
-def test_scalar_eval_is_float_within_one_ulp_of_array_eval(r, alpha):
+def test_scalar_eval_is_float_within_four_ulps_of_kernel_sum(r, alpha):
+    # the kernel, which verify sums, takes (r*r)**(-alpha/2) where eval
+    # takes r**-alpha: at most 3 ulps apart over 20,000 draws
     model = BoundedPowerLaw(alpha)
     value = model.eval(r)
     assert type(value) is float
+    assert type(model.eval(np.float64(r))) is float
     assert model.eval(np.float64(r)) == value
-    on_array = model.eval(np.array([r]))[0]
-    assert abs(value - on_array) <= math.ulp(on_array)
+    summed = kernels.bounded_power_law_sum([[r, 0.0]], (0.0, 0.0), alpha)
+    assert abs(value - summed) <= 4 * math.ulp(summed)
     if r <= 1:
         assert value == 1.0
 
@@ -78,9 +77,8 @@ def test_eval_monotone_non_increasing():
     rng = np.random.default_rng(1)
     for alpha in (2.5, 3.0, 4.0):
         model = BoundedPowerLaw(alpha)
-        r = np.sort(rng.uniform(0, 10, 200))
-        vals = model.eval(r)
-        assert np.all(np.diff(vals) <= 0)
+        vals = [model.eval(r) for r in np.sort(rng.uniform(0, 10, 200))]
+        assert all(x >= y for x, y in zip(vals, vals[1:]))
 
 
 def test_tail_integral_values():
