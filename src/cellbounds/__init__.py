@@ -3,22 +3,23 @@ cellular downlinks, with an empirical verifier for the almost-sure claims."""
 
 from importlib import import_module
 
-from .bounds import (BallRegulation, conditional_bound_general,
-                     exclusion_radius, hardcore_regulation_constants,
-                     interference_bound, legacy_bound, shot_noise_bound)
-from .guarantees import (CriticalPower, InfeasibleError, LinkBudget,
-                         critical_power, criticality_feasible,
-                         rate_always_active, rate_scheduled, solve_critical_hk,
-                         theta)
-from .hexnet import (HexRatePoint, UnsupportedReuseError, hardcore_for_reuse,
-                     hex_rate_sweep)
-from .pathloss import BoundedPowerLaw, DivergenceError
-
-# The sampling and verification API runs on numpy.  Its names, and the
-# modules themselves, resolve on first access (PEP 562), so ``import
-# cellbounds`` and the analytic sweeps do not load numpy.
-_LAZY = {
-    **{module: module for module in ("kernels", "montecarlo", "pointset")},
+# Every public name, by the module that defines it.  The names and the
+# public modules resolve on first access (PEP 562), so ``import
+# cellbounds`` loads none of its modules, and the analytic sweeps, which
+# run on Python floats, never load numpy.
+_NAMES = {
+    **dict.fromkeys(
+        ("BallRegulation", "conditional_bound_general", "exclusion_radius",
+         "hardcore_regulation_constants", "interference_bound",
+         "legacy_bound", "shot_noise_bound"), "bounds"),
+    **dict.fromkeys(
+        ("CriticalPower", "InfeasibleError", "LinkBudget", "critical_power",
+         "criticality_feasible", "rate_always_active", "rate_scheduled",
+         "solve_critical_hk", "theta"), "guarantees"),
+    **dict.fromkeys(
+        ("HexRatePoint", "UnsupportedReuseError", "hardcore_for_reuse",
+         "hex_rate_sweep"), "hexnet"),
+    **dict.fromkeys(("BoundedPowerLaw", "DivergenceError"), "pathloss"),
     **dict.fromkeys(
         ("ConfigurationError", "TrialRecord", "VerificationReport",
          "check_ball_regulation", "check_interference_bound",
@@ -29,61 +30,18 @@ _LAZY = {
          "gen_matern_ii", "gen_triangular_lattice", "nearest_index", "to_csv",
          "verify_hardcore"), "pointset"),
 }
+_MODULES = {*_NAMES.values(), "cli", "kernels"}
 
 
 def __getattr__(name):
-    try:
-        module = _LAZY[name]
-    except KeyError:
+    module = _NAMES.get(name, name)
+    if module not in _MODULES:
         raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
+            f"module {__name__!r} has no attribute {name!r}")
     loaded = import_module(f".{module}", __name__)
     return loaded if module == name else getattr(loaded, name)
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallRegulation",
-    "BoundedPowerLaw",
-    "ConfigurationError",
-    "CriticalPower",
-    "DivergenceError",
-    "HexRatePoint",
-    "InfeasibleError",
-    "LinkBudget",
-    "MarkedPointSet",
-    "Rect",
-    "TrialRecord",
-    "UnsupportedReuseError",
-    "VerificationReport",
-    "ball_count",
-    "check_ball_regulation",
-    "check_interference_bound",
-    "check_scheduled_bound",
-    "color_lattice",
-    "conditional_bound_general",
-    "critical_power",
-    "criticality_feasible",
-    "exclusion_radius",
-    "from_csv",
-    "gen_matern_ii",
-    "gen_triangular_lattice",
-    "hardcore_for_reuse",
-    "hardcore_regulation_constants",
-    "hex_rate_sweep",
-    "interference_bound",
-    "lattice_factory",
-    "legacy_bound",
-    "matern_factory",
-    "nearest_index",
-    "point_set_factory",
-    "rate_always_active",
-    "rate_scheduled",
-    "shot_noise_bound",
-    "solve_critical_hk",
-    "theta",
-    "to_csv",
-    "verify_hardcore",
-    "vertex_window",
-]
+__all__ = sorted(_NAMES)

@@ -59,12 +59,19 @@ class BallRegulation:
 
 
 def hardcore_regulation_constants(h: float) -> BallRegulation:
-    """Ball-count envelope (1, rho_h, nu_h) of a process with pairwise gap 2h."""
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(
-            f"hardcore half-distance must be positive and finite, got {h}")
-    return BallRegulation(1.0, 2 * math.pi / (SQRT12 * h),
-                          math.pi / (SQRT12 * h * h))
+    """Ball-count envelope (1, rho_h, nu_h) of a process with pairwise gap 2h.
+
+    Raises ValueError unless rho_h and nu_h are positive finite floats, as
+    for an h whose square underflows or overflows.
+    """
+    try:
+        rho, nu = 2 * math.pi / (SQRT12 * h), math.pi / (SQRT12 * h * h)
+    except ZeroDivisionError:
+        rho = nu = 0.0
+    if not (0 < rho < math.inf and 0 < nu < math.inf):
+        raise ValueError("hardcore half-distance must give positive finite "
+                         f"rho_h and nu_h, got {h}")
+    return BallRegulation(1.0, rho, nu)
 
 
 def exclusion_radius(d: float, h: float) -> float:

@@ -56,10 +56,10 @@ def _csv_row(row) -> str:
 
 
 def _write_csv(out_path, params: dict, header: list[str], rows,
-               footer: list[str] = (), row_format=_csv_row) -> None:
+               footer: list[str] = ()) -> None:
     lines = [f"# {key} = {_fmt(val)}" for key, val in params.items()]
     lines.append(",".join(header))
-    lines.extend(map(row_format, rows))
+    lines.extend(map(_csv_row, rows))
     lines.extend(f"# {note}" for note in footer)
     write_lines(out_path or sys.stdout, lines)
 
@@ -170,9 +170,9 @@ def cmd_verify(args) -> int:
     :func:`cellbounds.montecarlo.run_suites`); the output is the same for
     any number of processes.
     """
-    from .montecarlo import (TrialRecord, ball_regulation_suite,
-                             interference_suite, lattice_factory,
-                             matern_factory, run_suites, scheduled_suite)
+    from .montecarlo import (ball_regulation_suite, interference_suite,
+                             lattice_factory, matern_factory, run_suites,
+                             scheduled_suite)
     from .pointset import Rect
 
     if args.trials < 0:
@@ -205,9 +205,9 @@ def cmd_verify(args) -> int:
               "a": args.a, "intensity": args.intensity, "window": args.window,
               "lattice_half_width": args.lattice_half_width}
     footer = [rep.summary() for rep in reports]
-    _write_csv(args.out, params, TrialRecord.CSV_FIELDS,
-               [r for rep in reports for r in rep.records], footer,
-               TrialRecord.csv_row)
+    _write_csv(args.out, params,
+               ["seed", "d", "t", "realized", "bound", "ratio"],
+               [(*r, r.ratio) for rep in reports for r in rep.records], footer)
     total = sum(rep.violations for rep in reports)
     for rep in reports:
         print(rep.summary())
@@ -320,6 +320,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except ValueError as exc:  # incl. ConfigurationError, UnsupportedReuseError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # e.g. a sample too large to hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

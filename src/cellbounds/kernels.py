@@ -4,7 +4,8 @@ Neighbour searches run on a grid of square cells in numpy alone (see
 :func:`_close_pairs`), so sampling and checking load no scipy module.
 Every distance that decides a result is computed from the coordinates as
 ``dx*dx + dy*dy``, so masks and minima equal those of the direct O(n^2)
-rule bit for bit.
+rule bit for bit.  Power-law sums take squared distances from the
+receiver, as :func:`cellbounds.pointset.sq_dists` computes them.
 
 :func:`matern_keep_mask` thins several independent samples in one call
 when each point carries the label of its sample: the label is part of the
@@ -233,12 +234,10 @@ def min_same_mark_sq_dist(points, marks) -> float:
     return best
 
 
-def bounded_power_law_sum(points, origin, alpha: float, exclude: int = -1) -> float:
-    """Sum of min(1, d^-alpha) from origin over points, skipping ``exclude``."""
-    pts = _points(points)
-    dx = pts[:, 0] - float(origin[0])
-    dy = pts[:, 1] - float(origin[1])
-    d2 = dx * dx + dy * dy
+def bounded_power_law_sum(sq_dists, alpha: float, exclude: int = -1) -> float:
+    """Sum of min(1, d^-alpha) over the squared distances d^2 of
+    ``sq_dists``, skipping the one at ``exclude``."""
+    d2 = np.asarray(sq_dists, dtype=np.float64).reshape(-1)
     att = np.ones_like(d2)
     far = d2 > 1.0
     att[far] = d2[far] ** (-0.5 * float(alpha))

@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernels
 from ._shards import default_workers, map_shards
 from .bounds import exclusion_radius, hardcore_regulation_constants, interference_bound
-from .guarantees import LinkBudget, theta
+from .guarantees import link_at_snr, theta
 from .hexnet import hardcore_for_reuse
 from .pathloss import BoundedPowerLaw
 from .pointset import (MarkedPointSet, Rect, SampleGroup, check_matern,
@@ -36,8 +36,7 @@ class ConfigurationError(ValueError):
     """Check configuration is unusable (e.g. window too small for the radii)."""
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One checked inequality: realized value against its bound."""
 
     seed: int
@@ -46,19 +45,11 @@ class TrialRecord:
     realized: float
     bound: float
 
-    CSV_FIELDS: ClassVar[tuple[str, ...]] = ("seed", "d", "t", "realized",
-                                             "bound", "ratio")
-
     @property
     def ratio(self) -> float:
         if self.bound == 0:
             return 0.0 if self.realized == 0 else math.inf
         return self.realized / self.bound
-
-    def csv_row(self) -> str:
-        """The record as a CSV row of its ``CSV_FIELDS``."""
-        return (f"{self.seed},{self.d:.12g},{self.t:.12g},{self.realized:.12g},"
-                f"{self.bound:.12g},{self.ratio:.12g}")
 
 
 @dataclass
@@ -281,8 +272,7 @@ def _interference(group: SampleGroup, receivers, alpha: float) -> list:
         first, stop = group.starts[k], group.starts[k + 1]
         found.append(None if i0 < 0 else (
             math.sqrt(d2[i0]),
-            kernels.bounded_power_law_sum(group.points[first:stop],
-                                          receivers[k], alpha, i0 - first)))
+            kernels.bounded_power_law_sum(d2[first:stop], alpha, i0 - first)))
     return found
 
 
@@ -344,10 +334,11 @@ def _scheduled_records(lattice: MarkedPointSet, h_k: float,
                                  f"mark {found.index(None) + 1}")
     records = [_interference_record(seed, model, h_k, *hit) for hit in found]
     d, realized = found[lattice.marks[nearest_index(lattice, user)] - 1]
-    signal = model.eval(d)  # P = 1 and SNR = 0 dB: the noise equals it
+    link = link_at_snr(1.0, d, model, 0.0)
+    signal = model.eval(d)  # P = 1
     records.append(TrialRecord(seed, d, exclusion_radius(d, h_k),
-                               theta(LinkBudget(1.0, signal, d, model), h_k),
-                               signal / (realized + signal)))
+                               theta(link, h_k),
+                               signal / (realized + link.noise)))
     return records, 0
 
 

@@ -43,8 +43,9 @@ def test_hardcore_regulation_constants_scaling():
     reg2 = hardcore_regulation_constants(2 * h)
     assert reg2.rho == pytest.approx(reg.rho / 2, rel=1e-12)
     assert reg2.nu == pytest.approx(reg.nu / 4, rel=1e-12)
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+    # 1e-170 squared underflows to 0, 1e160 squared overflows
+    for bad in (0.0, math.nan, math.inf, 1e-170, 1e160):
+        with pytest.raises(ValueError, match="hardcore half-distance"):
             hardcore_regulation_constants(bad)
 
 

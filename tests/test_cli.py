@@ -217,6 +217,16 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv):
     ("rate-vs-hk", "--snr-db", "4000"),
     ("critical-power", "--snr-db", "4000"),
     ("hex-sweep", "--snr-min", "4000", "--snr-max", "4000"),
+    # a hardcore distance whose square underflows: rho_h, nu_h infinite
+    ("bound-compare", "--hardcore", "1e-170"),
+    ("rate-vs-hk", "--hardcore", "1e-170"),
+    ("critical-power", "--hardcore", "1e-170"),
+    ("hex-sweep", "--a", "1e-170"),
+    ("verify", "--trials", "1", "--hardcore", "1e-170"),
+    # and one whose square overflows: nu_h is 0
+    ("bound-compare", "--hardcore", "1e160"),
+    # a sample too large for memory: about 85 TiB, refused at once
+    ("verify", "--trials", "2", "--intensity", "1e9"),
 ])
 def test_bad_grid_or_distance_is_one_line_usage_error(tmp_path, capsys, argv):
     # the 1e-300 step asks for ~6e300 points: refused before any is built

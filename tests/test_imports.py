@@ -48,12 +48,32 @@ def test_verify_loads_no_scipy(tmp_path):
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
-_NAMES_SCRIPT = """
-import sys
+_IMPORT_SCRIPT = """
+import json, sys
 sys.path.insert(0, sys.argv[1])
 import cellbounds
-names = cellbounds.__all__ + ["kernels", "montecarlo", "pointset"]
-missing = [n for n in names if not hasattr(cellbounds, n)]
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("cellbounds.") or m == "numpy")))
+"""
+
+
+def test_import_loads_no_submodule_nor_numpy():
+    done = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT, str(SRC)],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+PUBLIC_MODULES = ["bounds", "cli", "guarantees", "hexnet", "kernels",
+                  "montecarlo", "pathloss", "pointset"]
+
+_NAMES_SCRIPT = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+import cellbounds
+missing = [n for n in cellbounds.__all__ if not hasattr(cellbounds, n)]
+missing += [m for m in json.loads(sys.argv[2])
+            if not isinstance(getattr(cellbounds, m, None), types.ModuleType)]
 namespace = {}
 exec("from cellbounds import *", namespace)
 missing += sorted(set(cellbounds.__all__) - set(namespace))
@@ -62,10 +82,19 @@ print(missing)
 
 
 def test_every_public_name_resolves():
-    done = subprocess.run([sys.executable, "-c", _NAMES_SCRIPT, str(SRC)],
+    done = subprocess.run([sys.executable, "-c", _NAMES_SCRIPT, str(SRC),
+                           json.dumps(PUBLIC_MODULES)],
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert done.stdout.strip() == "[]"
     import cellbounds
     with pytest.raises(AttributeError):
         cellbounds.no_such_name
+    # private modules are not part of the namespace
+    with pytest.raises(AttributeError):
+        cellbounds.__getattr__("_shards")
+
+
+def test_public_names_are_listed_once_in_order():
+    import cellbounds
+    assert cellbounds.__all__ == sorted(set(cellbounds.__all__))

@@ -44,8 +44,8 @@ def interference_record(seed, ps, receiver, h):
     """The record of the receiver served by its nearest point of ps."""
     i0 = nearest_index(ps, receiver)
     d = math.sqrt(((ps.points[i0] - receiver) ** 2).sum())
-    realized = kernels.bounded_power_law_sum(ps.points, receiver, MODEL.alpha,
-                                             i0)
+    realized = kernels.bounded_power_law_sum(
+        pointset.sq_dists(ps.points, receiver), MODEL.alpha, i0)
     return TrialRecord(seed, d, exclusion_radius(d, h), realized,
                        interference_bound(MODEL, h, d))
 
@@ -191,14 +191,18 @@ def test_vertex_window_centers_on_cell_corner():
 def test_report_csv_format_and_determinism():
     factory = matern_factory(0.1, 4.0, Rect(0, 100, 0, 100))
     report = check_interference_bound(factory, 2.0, MODEL, trials=5, seed=9)
+    header = ["seed", "d", "t", "realized", "bound", "ratio"]
     buf1, buf2 = io.StringIO(), io.StringIO()
     for buf in (buf1, buf2):
-        cli._write_csv(buf, {}, TrialRecord.CSV_FIELDS, report.records,
-                       row_format=TrialRecord.csv_row)
+        cli._write_csv(buf, {}, header, [(*r, r.ratio) for r in report.records])
     assert buf1.getvalue() == buf2.getvalue()
     lines = buf1.getvalue().splitlines()
     assert lines[0] == "seed,d,t,realized,bound,ratio"
     assert len(lines) == 1 + len(report.records)
+    # every number of a row is printed to 12 significant digits
+    for line, r in zip(lines[1:], report.records):
+        assert line == (f"{r.seed},{r.d:.12g},{r.t:.12g},{r.realized:.12g},"
+                        f"{r.bound:.12g},{r.ratio:.12g}")
     assert "violations=0" in report.summary()
 
 
