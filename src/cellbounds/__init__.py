@@ -13,7 +13,7 @@ _NAMES = {
          "hardcore_regulation_constants", "interference_bound",
          "legacy_bound", "shot_noise_bound"), "bounds"),
     **dict.fromkeys(
-        ("CriticalPower", "InfeasibleError", "LinkBudget", "critical_power",
+        ("InfeasibleError", "LinkBudget", "critical_power",
          "criticality_feasible", "rate_always_active", "rate_scheduled",
          "solve_critical_hk", "theta"), "guarantees"),
     **dict.fromkeys(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .pathloss import BoundedPowerLaw
 
@@ -95,10 +96,19 @@ def shot_noise_bound(model: BoundedPowerLaw, h: float) -> float:
     Equals l(0) + rho_h * int_0^inf l + 2 nu_h * int_0^inf r l, which
     requires the tail integrals to converge (alpha > 2).
     """
-    reg = hardcore_regulation_constants(h)
-    return (model.eval(0.0)
-            + reg.rho * model.tail_integral(0.0)
-            + 2 * reg.nu * model.weighted_tail_integral(0.0))
+    return _closed_form(model, hardcore_regulation_constants(h), 0.0)
+
+
+def _closed_form(model: BoundedPowerLaw, envelope: BallRegulation,
+                 t: float) -> float:
+    """The conditional bound outside b(o, t) with infinite outer radius, from
+    the exact tail integrals of the model:
+
+        l(t) G(t) + rho int_t^inf l(r) dr + 2 nu int_t^inf r l(r) dr.
+    """
+    return (model.eval(t) * envelope.count_bound(t)
+            + envelope.rho * model.tail_integral(t)
+            + 2 * envelope.nu * model.weighted_tail_integral(t))
 
 
 def conditional_bound_general(model: BoundedPowerLaw, envelope: BallRegulation,
@@ -150,11 +160,13 @@ def interference_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     so for the bounded power law this is the closed form.
     """
     t = exclusion_radius(d, h)
-    reg = hardcore_regulation_constants(h)
-    boundary = model.eval(t) * (reg.rho * t + reg.nu * t * t)
-    return (boundary
-            + reg.rho * model.tail_integral(t)
-            + 2 * reg.nu * model.weighted_tail_integral(t))
+    return _closed_form(model, _interferer_envelope(h), t)
+
+
+@lru_cache(maxsize=64)
+def _interferer_envelope(h: float) -> BallRegulation:
+    # a sweep asks for a few separations over and over
+    return hardcore_regulation_constants(h).without_sigma()
 
 
 def legacy_bound(model: BoundedPowerLaw, h: float, d: float) -> float:

@@ -48,6 +48,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, list):
+        return " ".join(map(_fmt, value))
     return str(value)
 
 
@@ -55,13 +57,16 @@ def _csv_row(row) -> str:
     return ",".join(map(_fmt, row))
 
 
-def _write_csv(out_path, params: dict, header: list[str], rows,
-               footer: list[str] = ()) -> None:
-    lines = [f"# {key} = {_fmt(val)}" for key, val in params.items()]
+def _write_csv(args, header: list[str], rows, footer: list[str] = ()) -> None:
+    """Write the CSV to ``args.out`` (default stdout).  It opens with one
+    ``#`` line per parsed option, in declaration order, after the command."""
+    lines = [f"# command = {args.subcommand}"]
+    lines.extend(f"# {key} = {_fmt(val)}" for key, val in vars(args).items()
+                 if key not in ("subcommand", "out", "func"))
     lines.append(",".join(header))
     lines.extend(map(_csv_row, rows))
     lines.extend(f"# {note}" for note in footer)
-    write_lines(out_path or sys.stdout, lines)
+    write_lines(args.out or sys.stdout, lines)
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -87,13 +92,10 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def cmd_bound_compare(args) -> int:
-    alphas = args.alpha or [2.5, 3.0, 4.0]
+    args.alpha = args.alpha or [2.5, 3.0, 4.0]
     t_grid = _grid(args.t_min, args.t_max, args.t_step)
-    params = {"command": "bound-compare", "alpha": " ".join(map(_fmt, alphas)),
-              "hardcore": args.hardcore,
-              "t_min": args.t_min, "t_max": args.t_max, "t_step": args.t_step}
     rows = []
-    for alpha in alphas:
+    for alpha in args.alpha:
         model = BoundedPowerLaw(alpha)
         for t in t_grid:
             # sweeping the exclusion radius directly: the serving distance
@@ -104,17 +106,13 @@ def cmd_bound_compare(args) -> int:
             rows.append((t_real, alpha,
                          interference_bound(model, args.hardcore, d),
                          legacy_bound(model, args.hardcore, d)))
-    _write_csv(args.out, params, ["t", "alpha", "new_bound", "legacy_bound"], rows)
+    _write_csv(args, ["t", "alpha", "new_bound", "legacy_bound"], rows)
     return EXIT_OK
 
 
 def cmd_rate_vs_hk(args) -> int:
     link = link_at_snr(args.power, args.d, BoundedPowerLaw(args.alpha),
                        args.snr_db)
-    params = {"command": "rate-vs-hk", "k": args.k, "hardcore": args.hardcore,
-              "d": args.d, "snr_db": args.snr_db, "alpha": args.alpha,
-              "power": args.power, "hk_min": args.hk_min, "hk_max": args.hk_max,
-              "hk_step": args.hk_step, "log_base": args.log_base}
     aa = rate_always_active(link, args.hardcore, args.log_base)
     feasible = criticality_feasible(link, args.hardcore, args.k)
     hk_star = solve_critical_hk(link, args.hardcore, args.k) if feasible else None
@@ -125,41 +123,32 @@ def cmd_rate_vs_hk(args) -> int:
     footer = [] if feasible else [
         "criticality infeasible: log(1+SNR) < k*log(1+theta); "
         "always active dominates for every h_k"]
-    _write_csv(args.out, params,
-               ["H_K", "rate_scheduled", "rate_aa", "H_K_star"], rows, footer)
+    _write_csv(args, ["H_K", "rate_scheduled", "rate_aa", "H_K_star"], rows,
+               footer)
     return EXIT_OK
 
 
 def cmd_critical_power(args) -> int:
-    ks = args.k or [3, 4]
+    args.k = args.k or [3, 4]
     link = link_at_snr(args.power, args.d, BoundedPowerLaw(args.alpha),
                        args.snr_db)
-    params = {"command": "critical-power", "k": " ".join(map(_fmt, ks)),
-              "hardcore": args.hardcore, "d": args.d, "snr_db": args.snr_db,
-              "alpha": args.alpha, "power": args.power, "hk_min": args.hk_min,
-              "hk_max": args.hk_max, "hk_step": args.hk_step}
     rows = []
-    for k in ks:
+    for k in args.k:
         for h_k in _grid(args.hk_min, args.hk_max, args.hk_step):
             try:
-                res = critical_power(link, args.hardcore, k, h_k)
-                rows.append((k, h_k, res.p_k_star, res.feasible))
+                p = critical_power(link, args.hardcore, k, h_k)
+                rows.append((k, h_k, p, p <= args.power))
             except InfeasibleError:
                 rows.append((k, h_k, None, False))
-    _write_csv(args.out, params, ["K", "H_K", "P_K_star", "feasible"], rows)
+    _write_csv(args, ["K", "H_K", "P_K_star", "feasible"], rows)
     return EXIT_OK
 
 
 def cmd_hex_sweep(args) -> int:
     model = BoundedPowerLaw(args.alpha)
     snr_grid = _grid(args.snr_min, args.snr_max, args.snr_step)
-    params = {"command": "hex-sweep", "a": args.a, "alpha": args.alpha,
-              "power": args.power, "snr_min": args.snr_min,
-              "snr_max": args.snr_max, "snr_step": args.snr_step,
-              "log_base": args.log_base}
     rows = hex_rate_sweep(args.a, args.power, model, snr_grid, args.log_base)
-    _write_csv(args.out, params, ["snr_db", "rate_aa", "rate_k3", "rate_k4"],
-               rows)
+    _write_csv(args, ["snr_db", "rate_aa", "rate_k3", "rate_k4"], rows)
     return EXIT_OK
 
 
@@ -200,13 +189,8 @@ def cmd_verify(args) -> int:
                                    args.lattice_half_width) for k in (1, 3, 4)]
     reports = run_suites(suites)
 
-    params = {"command": "verify", "suite": args.suite, "trials": args.trials,
-              "seed": args.seed, "alpha": args.alpha, "hardcore": h,
-              "a": args.a, "intensity": args.intensity, "window": args.window,
-              "lattice_half_width": args.lattice_half_width}
     footer = [rep.summary() for rep in reports]
-    _write_csv(args.out, params,
-               ["seed", "d", "t", "realized", "bound", "ratio"],
+    _write_csv(args, ["seed", "d", "t", "realized", "bound", "ratio"],
                [(*r, r.ratio) for rep in reports for r in rep.records], footer)
     total = sum(rep.violations for rep in reports)
     for rep in reports:
@@ -216,28 +200,22 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """The parser, the only list of each command's options.  Declaration
+    order is the order of the CSV's ``#`` lines."""
     parser = _Parser(prog="cellbounds",
                      description="Worst-case interference and rate guarantees "
                                  "for hardcore-regulated cellular downlinks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, alpha_list=False, k_list=False):
-        if alpha_list:
-            p.add_argument("--alpha", type=float, action="append",
-                           help="path-loss exponent; repeatable")
-        else:
-            p.add_argument("--alpha", type=float, default=4.0,
-                           help="path-loss exponent")
-        if k_list:
-            p.add_argument("--k", type=int, action="append",
-                           help="reuse factor; repeatable")
-        p.add_argument("--out", type=str, default=None,
-                       help="output CSV path (default: stdout)")
+    def alpha_option(p):
+        p.add_argument("--alpha", type=float, default=4.0,
+                       help="path-loss exponent")
 
     def link_options(p):
         p.add_argument("--hardcore", type=float, default=2.0)
         p.add_argument("--d", type=float, default=_DEFAULT_A)
         p.add_argument("--snr-db", type=float, default=0.0)
+        alpha_option(p)
         p.add_argument("--power", type=float, default=1.0)
         p.add_argument("--hk-min", type=float, default=2.0)
         p.add_argument("--hk-max", type=float, default=8.0)
@@ -246,7 +224,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bound-compare",
                        help="new vs legacy interference bound over the "
                             "exclusion radius t")
-    common(p, alpha_list=True)
+    p.add_argument("--alpha", type=float, action="append",
+                   help="path-loss exponent; repeatable")
     p.add_argument("--hardcore", type=float, default=1.0,
                    help="hardcore half-distance h")
     p.add_argument("--t-min", type=float, default=1.0)
@@ -257,7 +236,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rate-vs-hk",
                        help="scheduled vs always-active rate over the class "
                             "separation h_k")
-    common(p)
     p.add_argument("--k", type=int, default=3, help="reuse factor")
     link_options(p)
     p.add_argument("--log-base", choices=("nat", "2"), default="nat")
@@ -266,15 +244,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("critical-power",
                        help="reduced power preserving the always-active "
                             "guarantee, over h_k")
-    common(p, k_list=True)
+    p.add_argument("--k", type=int, action="append",
+                   help="reuse factor; repeatable")
     link_options(p)
     p.set_defaults(func=cmd_critical_power)
 
     p = sub.add_parser("hex-sweep",
                        help="hexagonal-network rate guarantees vs SNR")
-    common(p)
     p.add_argument("--a", type=float, default=_DEFAULT_A,
                    help="hexagon edge length")
+    alpha_option(p)
     p.add_argument("--power", type=float, default=1.0)
     p.add_argument("--snr-min", type=float, default=-15.0)
     p.add_argument("--snr-max", type=float, default=15.0)
@@ -288,7 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", choices=_SUITES, default="all")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--alpha", type=float, default=4.0)
+    alpha_option(p)
     p.add_argument("--hardcore", type=float, default=2.0)
     p.add_argument("--a", type=float, default=_DEFAULT_A)
     p.add_argument("--intensity", type=float, default=0.1,
@@ -296,34 +275,29 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=float, default=100.0,
                    help="side length of the Matern sampling window")
     p.add_argument("--lattice-half-width", type=float, default=40.0)
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_verify)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", type=str, default=None,
+                       help="output CSV path (default: stdout)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DivergenceError, InfeasibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:  # incl. ConfigurationError, UnsupportedReuseError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_INFEASIBLE, exc
     except MemoryError as exc:  # e.g. a sample too large to hold
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"out of memory: {exc}"
+    except (_UsageError, ValueError) as exc:
+        # ValueError includes ConfigurationError and UnsupportedReuseError
+        code, message = EXIT_USAGE, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

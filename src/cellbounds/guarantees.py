@@ -15,6 +15,7 @@ always-active guarantee once h_k >= h_k*.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .bounds import interference_bound
@@ -48,11 +49,20 @@ class LinkBudget:
     def __post_init__(self):
         if not (math.isfinite(self.power) and self.power > 0):
             raise ValueError("transmit power must be positive and finite")
-        if not (math.isfinite(self.noise) and self.noise > 0):
+        if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ValueError("noise power must be positive and finite")
         if not (math.isfinite(self.distance) and self.distance >= 0):
             raise ValueError(
                 "serving distance must be non-negative and finite")
+        # subnormal powers keep too few bits: the rates, which depend only
+        # on the SNR and the geometry, would drift with P and the scale
+        signal = self.power * self.model.eval(self.distance)
+        if min(self.power, signal, self.noise) < sys.float_info.min:
+            raise ValueError(
+                f"power {self.power} at distance {self.distance} gives "
+                f"signal power {signal:.3g} and noise power "
+                f"{self.noise:.3g}; each must be at least "
+                f"{sys.float_info.min:.3g}")
 
     @property
     def snr(self) -> float:
@@ -71,14 +81,6 @@ def link_at_snr(power: float, distance: float, model: BoundedPowerLaw,
         raise ValueError(f"an SNR of {snr_db} dB is out of float range")
     return LinkBudget(power, power * model.eval(distance) / snr, distance,
                       model)
-
-
-@dataclass(frozen=True)
-class CriticalPower:
-    """Reduced transmit power preserving the always-active guarantee."""
-
-    p_k_star: float
-    feasible: bool  # p_k_star <= the full power it was derived from
 
 
 def theta(link: LinkBudget, h: float) -> float:
@@ -153,7 +155,7 @@ def solve_critical_hk(link: LinkBudget, h: float, k: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> CriticalPower:
+def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> float:
     """Reduced power matching the always-active guarantee under scheduling.
 
         P_k* = W / ( l(d)/((1 + theta(P, h))^k - 1)
@@ -173,5 +175,4 @@ def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> CriticalPo
         raise InfeasibleError(
             f"h_k = {h_k} is below the critical separation: the scheduled "
             "guarantee cannot reach the always-active rate at any power")
-    p_star = link.noise / denom
-    return CriticalPower(p_star, feasible=p_star <= link.power)
+    return link.noise / denom

@@ -61,10 +61,6 @@ class VerificationReport:
     records: list[TrialRecord] = field(default_factory=list)
     skipped: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
     def summary(self) -> str:
         line = (f"{self.label}: trials={self.trials} checks={len(self.records)} "
                 f"violations={self.violations} max_ratio={self.max_ratio:.6f}")

@@ -227,6 +227,12 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv):
     ("bound-compare", "--hardcore", "1e160"),
     # a sample too large for memory: about 85 TiB, refused at once
     ("verify", "--trials", "2", "--intensity", "1e9"),
+    # a subnormal or zero power, received signal or noise power
+    ("rate-vs-hk", "--power", "1e-320"),
+    ("critical-power", "--power", "1e-320"),
+    ("hex-sweep", "--a", "1e78"),
+    ("hex-sweep", "--a", "1e160"),
+    ("rate-vs-hk", "--d", "1e160"),
 ])
 def test_bad_grid_or_distance_is_one_line_usage_error(tmp_path, capsys, argv):
     # the 1e-300 step asks for ~6e300 points: refused before any is built
@@ -235,6 +241,45 @@ def test_bad_grid_or_distance_is_one_line_usage_error(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [
+    (("bound-compare", "--alpha", "3", "--alpha", "2.5", "--hardcore", "1.5",
+      "--t-min", "2", "--t-max", "3", "--t-step", "0.5"),
+     ["command = bound-compare", "alpha = 3 2.5", "hardcore = 1.5",
+      "t_min = 2", "t_max = 3", "t_step = 0.5"]),
+    (("rate-vs-hk", "--k", "4", "--alpha", "3", "--hardcore", "1.5", "--d",
+      "2", "--snr-db", "3", "--power", "2", "--hk-min", "2", "--hk-max", "3",
+      "--hk-step", "0.5", "--log-base", "2"),
+     ["command = rate-vs-hk", "k = 4", "hardcore = 1.5", "d = 2",
+      "snr_db = 3", "alpha = 3", "power = 2", "hk_min = 2", "hk_max = 3",
+      "hk_step = 0.5", "log_base = 2"]),
+    (("critical-power", "--k", "4", "--k", "3", "--alpha", "3", "--hardcore",
+      "1.5", "--d", "2", "--snr-db", "3", "--power", "2", "--hk-min", "2",
+      "--hk-max", "3", "--hk-step", "0.5"),
+     ["command = critical-power", "k = 4 3", "hardcore = 1.5", "d = 2",
+      "snr_db = 3", "alpha = 3", "power = 2", "hk_min = 2", "hk_max = 3",
+      "hk_step = 0.5"]),
+    (("hex-sweep", "--a", "3", "--alpha", "3", "--power", "2", "--snr-min",
+      "-1", "--snr-max", "1", "--snr-step", "0.5", "--log-base", "2"),
+     ["command = hex-sweep", "a = 3", "alpha = 3", "power = 2",
+      "snr_min = -1", "snr_max = 1", "snr_step = 0.5", "log_base = 2"]),
+    (("verify", "--suite", "ball", "--trials", "3", "--seed", "7", "--alpha",
+      "3", "--hardcore", "1.5", "--a", "2", "--intensity", "0.05", "--window",
+      "80", "--lattice-half-width", "30"),
+     ["command = verify", "suite = ball", "trials = 3", "seed = 7",
+      "alpha = 3", "hardcore = 1.5", "a = 2", "intensity = 0.05",
+      "window = 80", "lattice_half_width = 30"]),
+], ids=lambda case: case[0][0])
+def test_header_echoes_every_option(tmp_path, case):
+    # every option set away from its default: each must appear, once, in
+    # declaration order, before the column names
+    argv, echo = case
+    code, out = run(tmp_path, "echo.csv", *argv)
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[:len(echo)] == [f"# {line}" for line in echo]
+    assert not lines[len(echo)].startswith("#")
 
 
 @pytest.mark.parametrize("command", sorted(SWEEP_SHA256))

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cellbounds.guarantees import (CriticalPower, InfeasibleError, LinkBudget,
+from cellbounds.guarantees import (InfeasibleError, LinkBudget,
                                    critical_power, criticality_feasible,
                                    link_at_snr, rate_always_active,
                                    rate_scheduled, solve_critical_hk, theta)
@@ -66,6 +67,17 @@ def test_link_at_snr_noise_and_range():
     for bad in (-4000.0, -math.inf, 4000.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="out of float range"):
             link_at_snr(1.0, D_HEX, model, bad)
+    # a subnormal power, signal or noise, named by its power and distance;
+    # the smallest normal powers still give the rate of the unit power
+    for power, d, snr_db in ((1e-320, D_HEX, 0.0), (1.0, 1e78, 0.0),
+                             (1.0, 1e160, 0.0), (1e-300, D_HEX, 90.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"power {power} at distance {d} gives")):
+            link_at_snr(power, d, model, snr_db)
+    tiny = link_at_snr(1e-300, D_HEX, model, 0.0)
+    assert rate_always_active(tiny, 2.0) == pytest.approx(
+        rate_always_active(link_at_snr(1.0, D_HEX, model, 0.0), 2.0),
+        rel=1e-12)
 
 
 def test_theta_reference_value():
@@ -186,19 +198,19 @@ def test_scheduling_verdict_flips_at_critical_separation():
 def test_critical_power_reference_values():
     link = reference_link()
     p3 = critical_power(link, 2.0, 3, H3)
-    assert isinstance(p3, CriticalPower)
-    assert p3.p_k_star == pytest.approx(0.7315496960790584, rel=1e-12)
-    assert p3.feasible
+    assert isinstance(p3, float)
+    assert p3 == pytest.approx(0.7315496960790584, rel=1e-12)
+    assert p3 <= link.power
     p4 = critical_power(link, 2.0, 4, H4)
-    assert p4.p_k_star == pytest.approx(0.9697505857945408, rel=1e-12)
-    assert p4.feasible
+    assert p4 == pytest.approx(0.9697505857945408, rel=1e-12)
+    assert p4 <= link.power
 
 
 def test_critical_power_boundary_and_infeasible():
     link = reference_link()
     h_star = solve_critical_hk(link, 2.0, 3)
     boundary = critical_power(link, 2.0, 3, h_star)
-    assert boundary.p_k_star == pytest.approx(link.power, rel=1e-9)
+    assert boundary == pytest.approx(link.power, rel=1e-9)
     with pytest.raises(InfeasibleError):
         critical_power(link, 2.0, 3, 2.0)  # h_k far below critical
 
@@ -209,8 +221,8 @@ def test_critical_power_round_trip():
             h_star = solve_critical_hk(link, h, k)
             h_k = 1.3 * h_star
             reduced = critical_power(link, h, k, h_k)
-            assert reduced.feasible
-            dialed = replace(link, power=reduced.p_k_star)
+            assert reduced <= link.power
+            dialed = replace(link, power=reduced)
             assert rate_scheduled(dialed, k, h_k) == pytest.approx(
                 rate_always_active(link, h), rel=1e-9)
 
@@ -224,5 +236,5 @@ def test_critical_power_at_critical_hk_is_the_full_power(alpha, h, d_over_h,
     link = reference_link(snr_db, power, alpha, d_over_h * h)
     assume(criticality_feasible(link, h, k))
     h_k = solve_critical_hk(link, h, k)
-    assert critical_power(link, h, k, h_k).p_k_star == pytest.approx(
+    assert critical_power(link, h, k, h_k) == pytest.approx(
         power, rel=1e-9)

