@@ -166,6 +166,8 @@ def cmd_verify(args) -> int:
 
     if args.trials < 0:
         raise _UsageError("--trials must be non-negative")
+    if args.seed < 0:
+        raise _UsageError("--seed must be non-negative")
     model = BoundedPowerLaw(args.alpha)
     h = args.hardcore
     matern_window = Rect(0.0, args.window, 0.0, args.window)

@@ -12,7 +12,8 @@ when each point carries the label of its sample: the label is part of the
 cell id, so points of different samples are never paired, and the fixed
 cost of a call (about 90 us) is paid once per group of samples instead
 of once per sample.  :func:`cellbounds.pointset.matern_groups` fills
-each group up to a budget of Poisson points.
+each group up to a budget of Poisson points.  :func:`min_same_mark_sq_dist`
+labels the points by mark the same way, so all marks are searched at once.
 
 A call writes few pages, and later batches and calls write the same ones:
 it keeps the sort order and the bounds of each point's two runs (in 32
@@ -211,27 +212,26 @@ def min_same_mark_sq_dist(points, marks) -> float:
     mk = np.asarray(marks, dtype=np.int64).reshape(-1)
     if mk.shape[0] != pts.shape[0]:
         raise ValueError("marks and points must have equal length")
-    best = math.inf
-    for m in np.unique(mk):
-        sub = pts[mk == m]
-        n = sub.shape[0]
-        if n < 2:
-            continue
-        _, _, width, height = _extent(sub)
-        # start from the mean spacing and double until some pair is closer:
-        # every pair left out is then farther apart than one found
-        radius = max(math.sqrt(width * height / n), (width + height) / n)
-        if radius == 0.0:  # all points coincide
-            return 0.0
-        found = math.inf
-        while found == math.inf:
-            for i, j in _close_pairs(sub, radius):
-                found = float(_sq_dist(sub, i, j).min(initial=found))
-            if radius == math.inf:  # every squared distance overflows
-                break
-            radius *= 2
-        best = min(best, found)
-    return best
+    # one label per mark, as matern_keep_mask labels its samples; the
+    # inverse is reshaped, as numpy 1.24 and 2.x give it different shapes
+    distinct, label = np.unique(mk, return_inverse=True)
+    if distinct.shape[0] == mk.shape[0]:  # no mark has two points
+        return math.inf
+    _, _, width, height = _extent(pts)
+    # start from the mean spacing and double until some pair is closer:
+    # every pair left out is then farther apart than one found
+    n = pts.shape[0]
+    radius = max(math.sqrt(width * height / n), (width + height) / n)
+    if radius == 0.0:  # all points coincide
+        return 0.0
+    found = math.inf
+    while found == math.inf:
+        for i, j in _close_pairs(pts, radius, label.reshape(-1)):
+            found = float(_sq_dist(pts, i, j).min(initial=found))
+        if radius == math.inf:  # every squared distance overflows
+            break
+        radius *= 2
+    return found
 
 
 def bounded_power_law_sum(sq_dists, alpha: float, exclude: int = -1) -> float:

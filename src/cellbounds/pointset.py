@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -34,12 +33,12 @@ from .hexnet import UnsupportedReuseError
 _REL_SLACK = 1e-12
 # Relative inflation of the reach of a local Matern sample (see matern_groups).
 _REACH_SLACK = 1e-9
-# Poisson points thinned in one kernel call by matern_groups: about 4 full
-# samples at the verify defaults, or 25 of the ball suite's local ones.
-# The call's fixed cost, about 90 us, is then paid once per group.  A
-# budget of 16,000 made `verify` faster still, but added 2.3 MB to its
-# peak memory where this one adds about 1 MB.  tiled_groups puts about as
-# many points in a group.
+# Points a group of samples reaches before it closes (see _grouped): for
+# matern_groups the Poisson points thinned in one kernel call, about 4 full
+# samples at the verify defaults or 25 of the ball suite's local ones, so
+# the call's fixed cost, about 90 us, is paid once per group.  A budget of
+# 16,000 made `verify` faster still, but added 2.3 MB to its peak memory
+# where this one adds about 1 MB.
 GROUP_POINTS = 4000
 
 
@@ -107,13 +106,17 @@ class MarkedPointSet:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        mks = np.asarray(self.marks, dtype=np.int64).reshape(-1)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "marks", mks)
+        mks = np.asarray(self.marks).reshape(-1)
         if len(pts) != len(mks):
             raise ValueError("points and marks must have equal length")
-        if len(mks) and (mks.min() < 1 or mks.max() > self.num_marks):
-            raise ValueError(f"marks must lie in 1..{self.num_marks}")
+        # checked before the cast, which would truncate 1.5 and turn nan or
+        # 1e300 into some integer
+        bad = ~((mks >= 1) & (mks <= self.num_marks) & (mks == np.floor(mks)))
+        if bad.any():
+            raise ValueError(f"marks must be integers in 1..{self.num_marks}, "
+                             f"got {mks[bad][0]}")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "marks", mks.astype(np.int64))
         if len(pts) and not self.window.contains(pts).all():
             raise ValueError("all points must lie in the window")
         if self.lattice_ij is not None:
@@ -137,21 +140,18 @@ def gen_triangular_lattice(a: float, window: Rect) -> MarkedPointSet:
         raise ValueError(f"edge length must be positive and finite, got {a}")
     s = math.sqrt(3.0) * a
     row = 0.5 * math.sqrt(3.0) * s
-    j = np.arange(math.floor(window.ymin / row) - 1,
-                  math.ceil(window.ymax / row) + 2)
-    off = 0.5 * s * j
-    # row j holds the sites i = i_lo .. i_hi, in increasing i
-    i_lo = np.floor((window.xmin - off) / s).astype(np.int64) - 1
-    i_hi = np.ceil((window.xmax - off) / s).astype(np.int64) + 1
-    count = i_hi - i_lo + 1
-    first = np.cumsum(count) - count
-    i = np.arange(count.sum()) + (i_lo - first).repeat(count)
-    j = j.repeat(count)
-    pts = np.column_stack((i * s + off.repeat(count), j * row))
-    ij = np.column_stack((i, j))
+    # the (i, j) grid over a parallelogram around the window, row by row
+    j_lo = math.floor(window.ymin / row) - 1
+    j_hi = math.ceil(window.ymax / row) + 1
+    i, j = (grid.ravel() for grid in np.meshgrid(
+        np.arange(math.floor((window.xmin - 0.5 * s * j_hi) / s) - 1,
+                  math.ceil((window.xmax - 0.5 * s * j_lo) / s) + 2),
+        np.arange(j_lo, j_hi + 1)))
+    pts = np.column_stack((i * s + 0.5 * s * j, j * row))
     inside = window.contains(pts)
     return MarkedPointSet(pts[inside], np.ones(inside.sum(), dtype=np.int64),
-                          window, num_marks=1, lattice_ij=ij[inside])
+                          window, num_marks=1,
+                          lattice_ij=np.column_stack((i, j))[inside])
 
 
 def color_lattice(lattice: MarkedPointSet, k: int) -> MarkedPointSet:
@@ -228,8 +228,8 @@ class SampleGroup(NamedTuple):
 
     def nearest(self, centers) -> tuple[list[int], np.ndarray]:
         """Per sample, the index in ``points`` of its point closest to its
-        center (see :func:`nearest_index`), or -1 if it has no points; and
-        :meth:`sq_dists`."""
+        center, exact ties broken lexicographically by the points'
+        coordinates, or -1 if it has no points; and :meth:`sq_dists`."""
         d2 = self.sq_dists(centers)
         bounds = self.starts.tolist()
         return [first + _nearest(self.points[first:stop], d2[first:stop])
@@ -265,18 +265,30 @@ def check_matern(intensity: float, hardcore_radius: float) -> None:
         raise ValueError("hardcore radius must be positive")
 
 
+def _grouped(samples: Iterable, size) -> Iterator[list]:
+    """Consecutive ``samples`` in lists, each closed as soon as the
+    ``size`` of its samples sums to ``GROUP_POINTS``."""
+    batch, total = [], 0
+    for sample in samples:
+        batch.append(sample)
+        total += size(sample)
+        del sample  # so that clearing a batch frees its samples
+        if total >= GROUP_POINTS:
+            yield batch
+            batch, total = [], 0
+    if batch:
+        yield batch
+
+
 def tiled_groups(points: np.ndarray, draws: Iterable) -> Iterator[SampleGroup]:
-    """One copy of ``points`` per draw, about ``GROUP_POINTS`` points a group.
+    """One copy of ``points`` per draw, grouped by :func:`_grouped`.
 
     A fixed point set is the same sample whatever the draw, so ``draws``
-    is only counted; every group but the last holds the same number of
-    copies, at least one.
+    is only counted.
     """
-    per_group = max(1, GROUP_POINTS // max(len(points), 1))
-    draws = iter(draws)
-    while copies := sum(1 for _ in itertools.islice(draws, per_group)):
-        yield SampleGroup.of(np.tile(points, (copies, 1)),
-                             [len(points)] * copies)
+    for batch in _grouped(draws, lambda draw: len(points)):
+        yield SampleGroup.of(np.tile(points, (len(batch), 1)),
+                             [len(points)] * len(batch))
 
 
 def matern_groups(intensity: float, hardcore_radius: float, window: Rect,
@@ -284,12 +296,12 @@ def matern_groups(intensity: float, hardcore_radius: float, window: Rect,
     """Matern type-II samples (see :func:`gen_matern_ii`), a group at a time.
 
     ``draws`` gives one ``(seed, near)`` pair per sample, ``near`` being
-    ``None`` or ``(center, reach)``.  Samples are drawn in order and
-    thinned together, in one labelled call of
-    :func:`cellbounds.kernels.matern_keep_mask`, as soon as their Poisson
-    points to be thinned reach ``GROUP_POINTS``; the last group may hold
-    fewer.  Each yielded group holds the retained points of its samples,
-    equal point for point to :func:`gen_matern_ii` of the same seed.
+    ``None`` or ``(center, reach)``.  Samples are drawn in order, grouped
+    by their Poisson points to be thinned (see :func:`_grouped`), and each
+    group is thinned in one labelled call of
+    :func:`cellbounds.kernels.matern_keep_mask`.  Each yielded group holds
+    the retained points of its samples, equal point for point to
+    :func:`gen_matern_ii` of the same seed.
 
     With ``near=(center, reach)`` the sample is the full one restricted to
     the closed square of half-width ``reach`` around ``center``: the same
@@ -302,59 +314,46 @@ def matern_groups(intensity: float, hardcore_radius: float, window: Rect,
     """
     check_matern(intensity, hardcore_radius)
     ext = window.expand(hardcore_radius)
-    mean = intensity * ext.area
-    xs, ys, ages, inner = [], [], [], []
-    drawn = 0
-    for seed, near in draws:
-        rng = np.random.default_rng(seed)
-        n = int(rng.poisson(mean))
-        x = rng.uniform(ext.xmin, ext.xmax, n)
-        y = rng.uniform(ext.ymin, ext.ymax, n)
-        age = rng.random(n)
-        within = None
-        if near is not None:
-            (cx, cy), reach = near
-            offset = np.maximum(np.abs(x - cx), np.abs(y - cy))
-            # the slack covers the rounding of the offsets; boolean masks
-            # keep the relative order that breaks ties between equal ages
-            reached = offset <= (reach + hardcore_radius) * (1 + _REACH_SLACK)
-            x, y = x.compress(reached), y.compress(reached)
-            age = age.compress(reached)
-            within = offset.compress(reached) <= reach
-        xs.append(x)
-        ys.append(y)
-        ages.append(age)
-        inner.append(within)
-        drawn += len(x)
-        if drawn >= GROUP_POINTS:
-            yield _thin(hardcore_radius, window, xs, ys, ages, inner)
-            xs, ys, ages, inner = [], [], [], []
-            drawn = 0
-    if xs:
-        yield _thin(hardcore_radius, window, xs, ys, ages, inner)
+    samples = (_draw(ext, intensity * ext.area, hardcore_radius, *draw)
+               for draw in draws)
+    for batch in _grouped(samples, lambda sample: len(sample[1])):
+        yield _thin(hardcore_radius, window, batch)
 
 
-def _thin(hardcore_radius: float, window: Rect, xs, ys, ages,
-          inner) -> SampleGroup:
-    """The group of the drawn points that survive the thinning of their
-    sample, lie within its reach (``inner``, None for a full sample) and
-    lie in the window."""
-    sizes = [len(x) for x in xs]
-    group = SampleGroup.of(np.empty((sum(sizes), 2)), sizes)
-    for first, x, y in zip(group.starts.tolist(), xs, ys):
-        group.points[first:first + len(x), 0] = x
-        group.points[first:first + len(x), 1] = y
-    keep = kernels.matern_keep_mask(group.points, np.concatenate(ages),
-                                    hardcore_radius, group.label)
-    for first, within in zip(group.starts.tolist(), inner):
-        if within is not None:
-            keep[first:first + len(within)] &= within
+def _draw(ext: Rect, mean: float, hardcore_radius: float, seed, near):
+    """The Poisson points of one sample to be thinned, as ``(points, ages,
+    within)``: those within reach of ``near`` (all of them without it),
+    and whether each lies within the sample's square."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.poisson(mean))
+    points = np.column_stack((rng.uniform(ext.xmin, ext.xmax, n),
+                              rng.uniform(ext.ymin, ext.ymax, n)))
+    ages = rng.random(n)
+    if near is None:
+        return points, ages, np.ones(n, dtype=bool)
+    (cx, cy), reach = near
+    offset = np.maximum(np.abs(points[:, 0] - cx), np.abs(points[:, 1] - cy))
+    # the slack covers the rounding of the offsets; boolean masks keep the
+    # relative order that breaks ties between equal ages
+    reached = offset <= (reach + hardcore_radius) * (1 + _REACH_SLACK)
+    return (points.compress(reached, axis=0), ages.compress(reached),
+            offset.compress(reached) <= reach)
+
+
+def _thin(hardcore_radius: float, window: Rect, batch: list) -> SampleGroup:
+    """The group of the drawn samples of ``batch`` (see :func:`_draw`):
+    the points within their sample's square that survive its thinning and
+    lie in the window.  Empties ``batch``."""
+    sizes = [len(ages) for _, ages, _ in batch]
+    points, ages, keep = map(np.concatenate, zip(*batch))
+    batch.clear()  # frees the draws before the kernel runs
+    label = SampleGroup.of(points, sizes).label
+    keep &= kernels.matern_keep_mask(points, ages, hardcore_radius, label)
+    keep &= window.contains(points)
     # compress selects like a boolean index, several times faster
-    points = group.points.compress(keep, axis=0)
-    inside = window.contains(points)
-    label = group.label.compress(keep).compress(inside)
-    return SampleGroup.of(points.compress(inside, axis=0),
-                          np.bincount(label, minlength=len(xs)))
+    return SampleGroup.of(points.compress(keep, axis=0),
+                          np.bincount(label.compress(keep),
+                                      minlength=len(sizes)))
 
 
 def gen_matern_ii(intensity: float, hardcore_radius: float, window: Rect,
@@ -386,11 +385,10 @@ def verify_hardcore(ps: MarkedPointSet, min_dist: float) -> bool:
 
 
 def nearest_index(ps: MarkedPointSet, origin) -> int:
-    """Index of the point closest to origin; exact ties break lexicographically."""
+    """Index of the point closest to origin, as :meth:`SampleGroup.nearest`."""
     if len(ps) == 0:
         raise ValueError("point set is empty")
-    origin = np.asarray(origin, dtype=float)
-    return _nearest(ps.points, sq_dists(ps.points, origin))
+    return SampleGroup.of(ps.points, [len(ps)]).nearest([origin])[0][0]
 
 
 def ball_count(ps: MarkedPointSet, center, radius: float) -> int:
@@ -412,7 +410,8 @@ def from_csv(path_or_file, window: Rect | None = None,
     """Read a point set written by :func:`to_csv`.
 
     Without an explicit window the bounding box of the points is used,
-    which requires a non-empty file.
+    which requires a non-empty file; a side of width 0 is widened.  A row
+    must hold three numbers, and ``num_marks`` defaults to the largest mark.
     """
     if is_path(path_or_file):
         with open(path_or_file) as fh:
@@ -424,13 +423,22 @@ def from_csv(path_or_file, window: Rect | None = None,
         raise ValueError("expected CSV with header 'x,y,mark'")
     data = np.loadtxt(io.StringIO("\n".join(rows[1:])), delimiter=",",
                       ndmin=2) if len(rows) > 1 else np.zeros((0, 3))
-    pts = data[:, :2]
-    marks = data[:, 2].astype(np.int64)
+    if data.shape[1] != 3:
+        raise ValueError("expected three columns x,y,mark in every row")
+    pts, marks = data[:, :2], data[:, 2]
     if window is None:
         if len(pts) == 0:
             raise ValueError("cannot infer a window from an empty point set")
-        window = Rect(pts[:, 0].min(), max(pts[:, 0].max(), pts[:, 0].min() + 1e-9),
-                      pts[:, 1].min(), max(pts[:, 1].max(), pts[:, 1].min() + 1e-9))
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        # each upper bound at least 1e-9 or, where that rounds back to the
+        # lower one, a float above it; only at the largest float, which has
+        # none above, does the lower bound move down instead
+        top = np.finfo(float).max
+        hi = np.maximum(hi, np.maximum(lo + 1e-9, np.nextafter(lo, top)))
+        lo = np.minimum(lo, np.nextafter(hi, -top))
+        window = Rect(lo[0], hi[0], lo[1], hi[1])
     if num_marks is None:
-        num_marks = int(marks.max()) if len(marks) else 1
+        # the largest mark, where it is a count that MarkedPointSet can check
+        top = marks.max(initial=1)
+        num_marks = int(top) if top < 2 ** 31 else 1
     return MarkedPointSet(pts, marks, window, num_marks=num_marks)

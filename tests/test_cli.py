@@ -182,10 +182,14 @@ def test_verify_zero_trials_is_vacuous(tmp_path):
     assert rows == []
 
 
-def test_verify_negative_trials_is_usage_error(tmp_path, capsys):
-    code, out = run(tmp_path, "neg.csv", "verify", "--trials", "-5")
+@pytest.mark.parametrize("option, value", [("--trials", "-5"),
+                                           ("--seed", "-1")],
+                         ids=["trials", "seed"])
+def test_verify_negative_trials_is_usage_error(tmp_path, capsys, option,
+                                               value):
+    code, out = run(tmp_path, "neg.csv", "verify", option, value)
     assert code == 1
-    assert "--trials" in capsys.readouterr().err
+    assert option in capsys.readouterr().err
     assert not out.exists()
 
 

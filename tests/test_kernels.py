@@ -78,6 +78,21 @@ def test_min_same_mark_matches_brute_force():
             min_same_mark_brute_force(pts, marks)
 
 
+def test_min_same_mark_exact_across_densities():
+    # a dense mark, a mark of two points far apart and a mark of one point;
+    # the search radius starts from the spacing of all points together
+    rng = np.random.default_rng(13)
+    dense = rng.uniform(0, 10, size=(300, 2))
+    pts = np.vstack([dense, [[-400.0, 5.0], [600.0, 5.0]], [[5.0, 5.0]]])
+    marks = np.array([9] * 300 + [40, 40] + [5])
+    assert kernels.min_same_mark_sq_dist(pts, marks) == \
+        min_same_mark_brute_force(pts, marks)
+    # the dense points in marks of their own: only the far pair is left
+    marks[:300] = 100 + np.arange(300)
+    assert min_same_mark_brute_force(pts, marks) == 1000.0 ** 2
+    assert kernels.min_same_mark_sq_dist(pts, marks) == 1000.0 ** 2
+
+
 @pytest.mark.parametrize("copies", [2, 3])
 def test_min_same_mark_coincident_points(copies):
     pts, _, marks = random_cloud(50, seed=7)

@@ -105,6 +105,19 @@ def test_lattice_interference_at_vertex():
     assert rec.ratio < 1.0  # the bound is not tight for the lattice
 
 
+def test_readme_csv_configuration_is_certified(tmp_path, monkeypatch):
+    # README's path for an outside configuration, from a file on disk
+    import cellbounds
+    pointset.to_csv(lattice_factory(A_HEX, 40.0)(0), tmp_path / "sites.csv")
+    monkeypatch.chdir(tmp_path)
+    source = cellbounds.point_set_factory(cellbounds.from_csv("sites.csv"))
+    report = cellbounds.check_interference_bound(source, 2.0,
+                                                 BoundedPowerLaw(4),
+                                                 trials=1, seed=0)
+    assert report.violations == 0
+    assert len(report.records) == 1
+
+
 def test_matern_interference_clean_and_reproducible():
     factory = matern_factory(0.1, 4.0, Rect(0, 100, 0, 100))
     first = check_interference_bound(factory, 2.0, MODEL, trials=200, seed=5)
@@ -264,7 +277,8 @@ def test_grouped_suites_match_plain_factory(monkeypatch, intensity, budget):
 
 @pytest.mark.parametrize("budget", [4000, 1000, 1])
 def test_lattice_ball_suite_matches_plain_factory(monkeypatch, budget):
-    # a group holds 8, 2 or 1 copies of the lattice, one per center
+    # a group holds 9, 3 or 1 copies of the 472-site lattice, one per center:
+    # it closes at the first copy that reaches the budget
     monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
     lattice = lattice_factory(A_HEX, 40.0)
     suite = ball_regulation_suite(lattice, 2.0, R_GRID, 30, 4)

@@ -270,6 +270,41 @@ def test_marked_point_set_validation():
         MarkedPointSet(np.array([[0.5, 0.5]]), np.array([2]), window, num_marks=1)
     with pytest.raises(ValueError):
         MarkedPointSet(np.array([[1.5, 0.5]]), np.array([1]), window)
+    # rejected before the int cast, which truncates 1.5 and warns on the rest
+    for mark in (1.5, 0.5, math.nan, math.inf, 1e300, -1e300):
+        with pytest.raises(ValueError, match="integers in 1..2"):
+            MarkedPointSet(np.array([[0.5, 0.5]]), [mark], window,
+                           num_marks=2)
+    ps = MarkedPointSet(np.array([[0.5, 0.5]]), [2.0], window, num_marks=2)
+    assert ps.marks.dtype == np.int64 and ps.marks.tolist() == [2]
+
+
+@pytest.mark.parametrize("text, match", [
+    ("x,y,mark\n0,0,1.5\n5,0,2", "integers"),
+    ("x,y,mark\n0,0,nan\n5,0,2", "integers"),
+    ("x,y,mark\n0,0,1e300", "integers"),
+    ("x,y,mark\n0,0", "three columns"),
+    ("x,y,mark\n0,0,1,4", "three columns"),
+])
+def test_from_csv_rejects_bad_rows(text, match):
+    with pytest.raises(ValueError, match=match):
+        from_csv(io.StringIO(text))
+
+
+def test_from_csv_infers_a_window_around_any_finite_set():
+    # today's 1e-9 margin where it moves the bound, so these are unchanged
+    ps = from_csv(io.StringIO("x,y,mark\n0,0,1\n5,0,2"))
+    assert ps.window == Rect(0.0, 5.0, 0.0, 1e-9)
+    assert ps.num_marks == 2
+    ps = from_csv(io.StringIO("x,y,mark\n-3,7,1"))
+    assert ps.window == Rect(-3.0, -3.0 + 1e-9, 7.0, 7.0 + 1e-9)
+    # where 1e-9 rounds back to the point, the next float up, and at the
+    # largest float the one below
+    big = float(np.finfo(float).max)
+    for x, y in ((1e9, 1e9), (-1e300, 2.5e15), (big, -big)):
+        ps = from_csv(io.StringIO(f"x,y,mark\n{x!r},{y!r},1"))
+        assert ps.points.tolist() == [[x, y]]
+        assert ps.window.width > 0 and ps.window.height > 0
 
 
 def test_csv_round_trip():
@@ -360,3 +395,28 @@ def test_matern_groups_equal_gen_matern_ii(monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
         if budget == 10 ** 6:
             assert len(groups) == 1
+
+
+def test_groups_close_at_the_first_sample_reaching_the_budget(monkeypatch):
+    # a budget of 1.5 lattices: each group of copies closes at its second
+    lattice = gen_triangular_lattice(A_HEX, Rect(-20, 20, -20, 20))
+    monkeypatch.setattr(pointset, "GROUP_POINTS", 3 * len(lattice) // 2)
+    groups = list(tiled_groups(lattice.points, range(5)))
+    assert [len(group) for group in groups] == [2, 2, 1]
+    # full Matern samples, grouped by the Poisson points each draws
+    window = Rect(0, 60, 0, 60)
+    area = window.expand(4.0).area
+    drawn = [int(np.random.default_rng(seed).poisson(0.1 * area))
+             for seed in range(9)]
+    budget = drawn[0] + drawn[1] // 2
+    monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
+    groups = list(matern_groups(0.1, 4.0, window,
+                                [(seed, None) for seed in range(9)]))
+    assert len(groups[0]) == 2
+    first = 0
+    for group in groups:
+        sizes = drawn[first:first + len(group)]
+        first += len(group)
+        assert sum(sizes[:-1]) < budget
+        assert sum(sizes) >= budget or group is groups[-1]
+    assert first == len(drawn)
