@@ -9,9 +9,8 @@ from importlib import import_module
 # run on Python floats, never load numpy.
 _NAMES = {
     **dict.fromkeys(
-        ("BallRegulation", "conditional_bound_general", "exclusion_radius",
-         "hardcore_regulation_constants", "interference_bound",
-         "legacy_bound", "shot_noise_bound"), "bounds"),
+        ("BallRegulation", "exclusion_radius", "hardcore_regulation_constants",
+         "interference_bound", "legacy_bound"), "bounds"),
     **dict.fromkeys(
         ("InfeasibleError", "LinkBudget", "critical_power",
          "criticality_feasible", "rate_always_active", "rate_scheduled",

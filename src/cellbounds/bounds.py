@@ -12,10 +12,10 @@ of radius t = max(d, 2h - d) around the receiver is interferer-free, which
 tightens the bound; `interference_bound` exploits it, `legacy_bound`
 (kept for comparison) does not.
 
-Two independent evaluation routes are provided on purpose:
-``interference_bound`` goes through the exact tail integrals of the model,
-while ``conditional_bound_general`` integrates numerically against an
-arbitrary quadratic envelope.  They must agree; tests enforce it.
+Every bound here is the closed form :func:`_closed_form`, from the exact
+tail integrals of the model.  The second, independent route, which
+integrates numerically against an arbitrary quadratic envelope, lives in
+``tests/oracles.py``; the tests hold the two routes to agreement.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from functools import lru_cache
 from .pathloss import BoundedPowerLaw
 
 SQRT12 = math.sqrt(12.0)
-
-_QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-10, "limit": 200}
 
 
 @dataclass(frozen=True)
@@ -50,9 +48,6 @@ class BallRegulation:
 
     def count_bound(self, radius: float) -> float:
         return self.sigma + self.rho * radius + self.nu * radius * radius
-
-    def slope(self, radius: float) -> float:
-        return self.rho + 2 * self.nu * radius
 
     def without_sigma(self) -> "BallRegulation":
         """Envelope with the constant term dropped (no associated transmitter)."""
@@ -90,15 +85,6 @@ def exclusion_radius(d: float, h: float) -> float:
     return max(d, 2 * h - d)
 
 
-def shot_noise_bound(model: BoundedPowerLaw, h: float) -> float:
-    """A.s. bound on sum of l(|x|) over an h-hardcore process in the plane.
-
-    Equals l(0) + rho_h * int_0^inf l + 2 nu_h * int_0^inf r l, which
-    requires the tail integrals to converge (alpha > 2).
-    """
-    return _closed_form(model, hardcore_regulation_constants(h), 0.0)
-
-
 def _closed_form(model: BoundedPowerLaw, envelope: BallRegulation,
                  t: float) -> float:
     """The conditional bound outside b(o, t) with infinite outer radius, from
@@ -109,41 +95,6 @@ def _closed_form(model: BoundedPowerLaw, envelope: BallRegulation,
     return (model.eval(t) * envelope.count_bound(t)
             + envelope.rho * model.tail_integral(t)
             + 2 * envelope.nu * model.weighted_tail_integral(t))
-
-
-def conditional_bound_general(model: BoundedPowerLaw, envelope: BallRegulation,
-                              t: float, radius: float = math.inf) -> float:
-    """A.s. bound on the attenuated sum outside the exclusion disc b(o, t).
-
-    For any envelope G with count(b(o,R) minus exclusion) <= G(R), the sum
-    of l(|x|) over b(o, radius) outside the exclusion region is at most
-
-        -int_t^R G(r) l'(r) dr + l(R) G(R)
-          = l(t) G(t) + int_t^R l(r) G'(r) dr,
-
-    evaluated here in the integration-by-parts form with adaptive
-    quadrature, split at r = 1, where the model is not smooth.
-    """
-    from scipy.integrate import quad
-
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError("exclusion radius must be finite and non-negative")
-    if not radius >= t:  # also a NaN radius
-        raise ValueError("outer radius must be at least the exclusion radius")
-    boundary = model.eval(t) * envelope.count_bound(t)
-    if radius == t:
-        return boundary
-
-    def integrand(r):
-        return model.eval(r) * envelope.slope(r)
-
-    total = 0.0
-    lo = t
-    if t < 1.0 < radius:
-        total += quad(integrand, t, 1.0, **_QUAD_OPTS)[0]
-        lo = 1.0
-    total += quad(integrand, lo, radius, **_QUAD_OPTS)[0]
-    return boundary + total
 
 
 def interference_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
@@ -173,9 +124,11 @@ def legacy_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     """Earlier interference bound that ignores the exclusion-disc geometry.
 
     l(0) + rho_h int_0^inf l + 2 nu_h int_0^inf r l - l(t): the full-plane
-    shot-noise bound minus the single strongest excluded term.  Kept for
-    comparison; never smaller than :func:`interference_bound` and, for the
-    bounded power law, equal to it exactly at t = 1.
+    shot-noise bound, finite only for alpha > 2, minus the single strongest
+    excluded term.  Kept for comparison; never smaller than
+    :func:`interference_bound` and, for the bounded power law, equal to it
+    exactly at t = 1.
     """
     t = exclusion_radius(d, h)
-    return shot_noise_bound(model, h) - model.eval(t)
+    return (_closed_form(model, hardcore_regulation_constants(h), 0.0)
+            - model.eval(t))

@@ -1,11 +1,11 @@
 """Hot-loop kernels: Matern thinning, same-mark separation, power-law sums.
 
 Neighbour searches run on a grid of square cells in numpy alone (see
-:func:`_close_pairs`), so sampling and checking load no scipy module.
-Every distance that decides a result is computed from the coordinates as
-``dx*dx + dy*dy``, so masks and minima equal those of the direct O(n^2)
-rule bit for bit.  Power-law sums take squared distances from the
-receiver, as :func:`cellbounds.pointset.sq_dists` computes them.
+:func:`_close_pairs`).  Every distance that decides a result is computed
+from the coordinates as ``dx*dx + dy*dy``, so masks and minima equal
+those of the direct O(n^2) rule bit for bit.  Power-law sums take squared
+distances from the receiver, as :func:`cellbounds.pointset.sq_dists`
+computes them.
 
 :func:`matern_keep_mask` thins several independent samples in one call
 when each point carries the label of its sample: the label is part of the

@@ -44,8 +44,8 @@ class BoundedPowerLaw:
 
     def tail_integral(self, t: float) -> float:
         """int_t^inf l(r) dr.  Diverges unless alpha > 1."""
-        if t < 0:
-            raise ValueError("lower limit must be non-negative")
+        if not t >= 0:  # also a NaN limit
+            raise ValueError(f"lower limit must be non-negative, got {t}")
         a = self.alpha
         if a <= 1:
             raise DivergenceError(
@@ -56,8 +56,8 @@ class BoundedPowerLaw:
 
     def weighted_tail_integral(self, t: float) -> float:
         """int_t^inf r l(r) dr.  Diverges unless alpha > 2."""
-        if t < 0:
-            raise ValueError("lower limit must be non-negative")
+        if not t >= 0:  # also a NaN limit
+            raise ValueError(f"lower limit must be non-negative, got {t}")
         a = self.alpha
         if a <= 2:
             raise DivergenceError(

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from cellbounds import cli
-from cellbounds.bounds import (conditional_bound_general, exclusion_radius,
+from cellbounds.bounds import (exclusion_radius,
                                hardcore_regulation_constants,
                                interference_bound, legacy_bound)
 from cellbounds.guarantees import (LinkBudget, critical_power,
                                    criticality_feasible, rate_always_active,
                                    rate_scheduled, solve_critical_hk)
 from cellbounds.pathloss import BoundedPowerLaw
+from oracles import conditional_bound_general
 
 A_HEX = 4 / math.sqrt(3.0)   # hexagon edge length; the worst-case user distance
 H_AA = 2.0                   # always-active hardcore half-distance

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cellbounds.bounds import (BallRegulation, conditional_bound_general,
-                               exclusion_radius,
+from cellbounds.bounds import (BallRegulation, exclusion_radius,
                                hardcore_regulation_constants,
-                               interference_bound, legacy_bound,
-                               shot_noise_bound)
+                               interference_bound, legacy_bound)
 from cellbounds.pathloss import BoundedPowerLaw, DivergenceError
+from oracles import conditional_bound_general
 
 D_HEX = 4 / math.sqrt(3.0)
 
@@ -53,7 +52,6 @@ def test_ball_regulation_envelope():
     reg = BallRegulation(1.0, 2.0, 0.5)
     assert reg.count_bound(0.0) == 1.0
     assert reg.count_bound(2.0) == 1.0 + 4.0 + 2.0
-    assert reg.slope(3.0) == 2.0 + 3.0
     assert reg.without_sigma().sigma == 0.0
     with pytest.raises(ValueError):
         BallRegulation(-1.0, 2.0, 0.5)
@@ -75,14 +73,17 @@ def test_exclusion_radius_cases():
             exclusion_radius(d, h)
 
 
-def test_shot_noise_bound_values():
+def test_legacy_bound_full_plane_values():
+    # adding back the excluded term l(t) leaves the full-plane bound,
+    # which does not depend on d
     model = BoundedPowerLaw(4)
-    assert shot_noise_bound(model, 1.0) == pytest.approx(
-        5.232198516546508, rel=1e-12)
-    assert shot_noise_bound(model, 2.0) == pytest.approx(
-        2.6626494172146993, rel=1e-12)
+    for h, d, full_plane in ((1.0, 1.0, 5.232198516546508),
+                             (2.0, D_HEX, 2.6626494172146993)):
+        t = exclusion_radius(d, h)
+        assert legacy_bound(model, h, d) + model.eval(t) == pytest.approx(
+            full_plane, rel=1e-12)
     with pytest.raises(DivergenceError):
-        shot_noise_bound(BoundedPowerLaw(1.5), 1.0)
+        legacy_bound(BoundedPowerLaw(1.5), 1.0, 1.0)
 
 
 def test_conditional_bound_degenerate_interval():

@@ -97,6 +97,14 @@ def test_weighted_tail_integral_values():
         2 / 3, rel=1e-12)
 
 
+def test_tail_integrals_reject_negative_and_nan_limits():
+    model = BoundedPowerLaw(4)
+    for integral in (model.tail_integral, model.weighted_tail_integral):
+        for bad in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="lower limit"):
+                integral(bad)
+
+
 def test_tail_divergence_errors():
     with pytest.raises(DivergenceError):
         BoundedPowerLaw(1.0).tail_integral(0.0)
