@@ -12,17 +12,17 @@ of radius t = max(d, 2h - d) around the receiver is interferer-free, which
 tightens the bound; `interference_bound` exploits it, `legacy_bound`
 (kept for comparison) does not.
 
-Every bound here is the closed form :func:`_closed_form`, from the exact
-tail integrals of the model.  The second, independent route, which
-integrates numerically against an arbitrary quadratic envelope, lives in
-``tests/oracles.py``; the tests hold the two routes to agreement.
+Every bound here is the closed form :func:`_closed_form` on the float
+coefficients of the envelope, from the exact tail integrals of the model.
+The second, independent route, which integrates numerically against an
+arbitrary quadratic envelope, lives in ``tests/oracles.py``; the tests
+hold the two routes to agreement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .pathloss import BoundedPowerLaw
 
@@ -49,10 +49,6 @@ class BallRegulation:
     def count_bound(self, radius: float) -> float:
         return self.sigma + self.rho * radius + self.nu * radius * radius
 
-    def without_sigma(self) -> "BallRegulation":
-        """Envelope with the constant term dropped (no associated transmitter)."""
-        return BallRegulation(0.0, self.rho, self.nu)
-
 
 def hardcore_regulation_constants(h: float) -> BallRegulation:
     """Ball-count envelope (1, rho_h, nu_h) of a process with pairwise gap 2h.
@@ -60,6 +56,11 @@ def hardcore_regulation_constants(h: float) -> BallRegulation:
     Raises ValueError unless rho_h and nu_h are positive finite floats, as
     for an h whose square underflows or overflows.
     """
+    return BallRegulation(1.0, *_hardcore_coefficients(h))
+
+
+def _hardcore_coefficients(h: float) -> tuple[float, float]:
+    """(rho_h, nu_h), checked as :func:`hardcore_regulation_constants` says."""
     try:
         rho, nu = 2 * math.pi / (SQRT12 * h), math.pi / (SQRT12 * h * h)
     except ZeroDivisionError:
@@ -67,7 +68,7 @@ def hardcore_regulation_constants(h: float) -> BallRegulation:
     if not (0 < rho < math.inf and 0 < nu < math.inf):
         raise ValueError("hardcore half-distance must give positive finite "
                          f"rho_h and nu_h, got {h}")
-    return BallRegulation(1.0, rho, nu)
+    return rho, nu
 
 
 def exclusion_radius(d: float, h: float) -> float:
@@ -85,16 +86,17 @@ def exclusion_radius(d: float, h: float) -> float:
     return max(d, 2 * h - d)
 
 
-def _closed_form(model: BoundedPowerLaw, envelope: BallRegulation,
+def _closed_form(model: BoundedPowerLaw, sigma: float, rho: float, nu: float,
                  t: float) -> float:
-    """The conditional bound outside b(o, t) with infinite outer radius, from
-    the exact tail integrals of the model:
+    """The conditional bound outside b(o, t) with infinite outer radius, for
+    the envelope G(R) = sigma + rho R + nu R^2, from the exact tail
+    integrals of the model:
 
         l(t) G(t) + rho int_t^inf l(r) dr + 2 nu int_t^inf r l(r) dr.
     """
-    return (model.eval(t) * envelope.count_bound(t)
-            + envelope.rho * model.tail_integral(t)
-            + 2 * envelope.nu * model.weighted_tail_integral(t))
+    return (model.eval(t) * (sigma + rho * t + nu * t * t)
+            + rho * model.tail_integral(t)
+            + 2 * nu * model.weighted_tail_integral(t))
 
 
 def interference_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
@@ -111,13 +113,8 @@ def interference_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     so for the bounded power law this is the closed form.
     """
     t = exclusion_radius(d, h)
-    return _closed_form(model, _interferer_envelope(h), t)
-
-
-@lru_cache(maxsize=64)
-def _interferer_envelope(h: float) -> BallRegulation:
-    # a sweep asks for a few separations over and over
-    return hardcore_regulation_constants(h).without_sigma()
+    rho, nu = _hardcore_coefficients(h)
+    return _closed_form(model, 0.0, rho, nu, t)
 
 
 def legacy_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
@@ -130,5 +127,5 @@ def legacy_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     exactly at t = 1.
     """
     t = exclusion_radius(d, h)
-    return (_closed_form(model, hardcore_regulation_constants(h), 0.0)
-            - model.eval(t))
+    rho, nu = _hardcore_coefficients(h)
+    return _closed_form(model, 1.0, rho, nu, 0.0) - model.eval(t)

@@ -20,7 +20,7 @@ from .bounds import exclusion_radius, interference_bound, legacy_bound
 from .guarantees import (InfeasibleError, criticality_feasible,
                          critical_power, link_at_snr, rate_always_active,
                          rate_scheduled, solve_critical_hk)
-from .hexnet import hex_rate_sweep
+from .hexnet import REUSE, hardcore_for_reuse, hex_rate_sweep
 from .pathloss import BoundedPowerLaw, DivergenceError
 
 EXIT_OK = 0
@@ -53,18 +53,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv_row(row) -> str:
-    return ",".join(map(_fmt, row))
-
-
 def _write_csv(args, header: list[str], rows, footer: list[str] = ()) -> None:
     """Write the CSV to ``args.out`` (default stdout).  It opens with one
-    ``#`` line per parsed option, in declaration order, after the command."""
+    ``#`` line per set option, in declaration order, after the command."""
     lines = [f"# command = {args.subcommand}"]
     lines.extend(f"# {key} = {_fmt(val)}" for key, val in vars(args).items()
-                 if key not in ("subcommand", "out", "func"))
+                 if key not in ("subcommand", "out", "func")
+                 and val is not None)
     lines.append(",".join(header))
-    lines.extend(map(_csv_row, rows))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     lines.extend(f"# {note}" for note in footer)
     write_lines(args.out or sys.stdout, lines)
 
@@ -162,7 +159,7 @@ def cmd_verify(args) -> int:
     from .montecarlo import (ball_regulation_suite, interference_suite,
                              lattice_factory, matern_factory, run_suites,
                              scheduled_suite)
-    from .pointset import Rect
+    from .pointset import Rect, color_lattice
 
     if args.trials < 0:
         raise _UsageError("--trials must be non-negative")
@@ -187,8 +184,9 @@ def cmd_verify(args) -> int:
         suites.append(interference_suite(matern, h, model,
                                           args.trials, args.seed + 2))
     if args.suite in ("scheduled", "all") and args.trials > 0:
-        suites += [scheduled_suite(args.a, k, model, args.seed,
-                                   args.lattice_half_width) for k in (1, 3, 4)]
+        suites += [scheduled_suite(color_lattice(lattice(args.seed), k),
+                                   hardcore_for_reuse(args.a, k), model,
+                                   args.seed) for k in REUSE]
     reports = run_suites(suites)
 
     footer = [rep.summary() for rep in reports]

@@ -168,7 +168,10 @@ def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> float:
     if k < 1:
         raise ValueError("k must be a positive integer")
     th = theta(link, h)
-    needed_sir = (1 + th) ** k - 1
+    try:
+        needed_sir = (1 + th) ** k - 1
+    except OverflowError:  # in the limit the SIR is infinite: no power does
+        needed_sir = math.inf
     denom = (link.model.eval(link.distance) / needed_sir
              - interference_bound(link.model, h_k, link.distance))
     if denom <= 0:

@@ -1,39 +1,55 @@
 """Guarantees for the hexagonal (triangular-lattice) network.
 
-Sites on a triangular lattice with hexagon edge length a satisfy the
-hardcore separations
-
-    k = 1 (all sites):        2*h_1 = sqrt(3)*a
-    k = 3 (reuse-3 classes):  2*h_3 = 3*a
-    k = 4 (reuse-4 classes):  2*h_4 = 2*sqrt(3)*a
-
-and the worst-case user sits at a cell vertex, i.e. at distance d = a
-from its serving site.
+The reuse-k colorings of :data:`REUSE` mark the sites of a triangular
+lattice with hexagon edge length a so that same-mark sites are at least
+2*h_k apart: 2*h_1 = sqrt(3)*a (all sites), 2*h_3 = 3*a and 2*h_4 =
+2*sqrt(3)*a.  The worst-case user sits at a cell vertex, i.e. at
+distance d = a from its serving site.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .guarantees import link_at_snr, rate_always_active, rate_scheduled
 from .pathloss import BoundedPowerLaw
 
-_HARDCORE_PER_EDGE = {1: math.sqrt(3.0) / 2, 3: 1.5, 4: math.sqrt(3.0)}
+
+class Reuse(NamedTuple):
+    """A reuse-k coloring: h_k / a, and the mark in 1..k of lattice site
+    (i, j) (see :func:`cellbounds.pointset.gen_triangular_lattice`) as a
+    function of integers or of integer arrays."""
+
+    hardcore_per_edge: float
+    mark: Callable
+
+
+# Every shipped coloring, by its reuse factor k.
+REUSE = {
+    1: Reuse(math.sqrt(3.0) / 2, lambda i, j: 0 * i + 1),
+    3: Reuse(1.5, lambda i, j: (i + 2 * j) % 3 + 1),
+    4: Reuse(math.sqrt(3.0), lambda i, j: 2 * (i % 2) + (j % 2) + 1),
+}
 
 
 class UnsupportedReuseError(ValueError):
     """Requested reuse factor has no shipped lattice coloring."""
 
 
+def reuse(k: int) -> Reuse:
+    """The reuse-k coloring of :data:`REUSE`."""
+    try:
+        return REUSE[k]
+    except KeyError:
+        raise UnsupportedReuseError(f"no reuse-{k} coloring available") from None
+
+
 def hardcore_for_reuse(a: float, k: int) -> float:
     """Hardcore half-distance h_k of the reuse-k coloring, edge length a."""
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"edge length must be positive and finite, got {a}")
-    try:
-        return _HARDCORE_PER_EDGE[k] * a
-    except KeyError:
-        raise UnsupportedReuseError(f"no reuse-{k} coloring available") from None
+    return reuse(k).hardcore_per_edge * a
 
 
 class HexRatePoint(NamedTuple):

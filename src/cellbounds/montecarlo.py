@@ -142,13 +142,7 @@ def lattice_factory(a: float, half_width: float, k: int = 1):
         color_lattice(gen_triangular_lattice(a, window), k))
 
 
-def _ball_center(window: Rect, r_max: float, seed: int, index: int):
-    try:
-        inner = window.shrink(r_max)
-    except ValueError:
-        raise ConfigurationError(
-            f"window {window} cannot contain balls of radius {r_max}"
-        ) from None
+def _ball_center(inner: Rect, seed: int, index: int):
     rng = np.random.default_rng([seed, index, 1])
     return (rng.uniform(inner.xmin, inner.xmax),
             rng.uniform(inner.ymin, inner.ymax))
@@ -157,9 +151,9 @@ def _ball_center(window: Rect, r_max: float, seed: int, index: int):
 class Suite(NamedTuple):
     """A trial-indexed check, run in shards of its trials by :func:`run_suites`.
 
-    ``records(trial_range)`` gives the records of the trials with those
-    indices and how many of them were skipped.  A record depends only on
-    the suite's seed and its trial index, so the records of contiguous
+    ``records(trial_range)`` gives the records of a non-empty range of
+    trial indices and how many of them were skipped.  A record depends only
+    on the suite's seed and its trial index, so the records of contiguous
     ranges, concatenated in order, are those of ``range(trials)``.
     """
 
@@ -168,22 +162,20 @@ class Suite(NamedTuple):
     records: Callable[[range], tuple[list[TrialRecord], int]]
 
 
-def run_suites(suites: list[Suite],
-               workers: int | None = None) -> list[VerificationReport]:
-    """Reports of the suites, their trials split over ``workers`` processes.
+def run_suites(suites: list[Suite]) -> list[VerificationReport]:
+    """Reports of the suites, their trials split over worker processes.
 
-    By default there is one process per usable CPU and at most one per
-    trial (see :func:`cellbounds._shards.worker_count`).  Each process
-    runs one contiguous range of trial indices of every suite (see
+    There is one process per usable CPU and at most one per trial (see
+    :func:`cellbounds._shards.default_workers`).  Each process runs one
+    contiguous range of trial indices of every suite (see
     :func:`cellbounds._shards.map_shards`), and the ranges are merged in
-    trial order, so the reports are the same for any ``workers``.  If
-    trials raise, the exception raised is the one a single process raises:
-    that of the earliest suite, then of the earliest trial.
+    trial order, so the reports are the same for any number of processes.
+    If trials raise, the exception raised is the one a single process
+    raises: that of the earliest suite, then of the earliest trial.
     """
     trials = max((suite.trials for suite in suites), default=0)
-    if workers is None:
-        workers = default_workers(trials)
-    shards = map_shards(partial(_run_shard, suites), trials, workers)
+    shards = map_shards(partial(_run_shard, suites), trials,
+                        default_workers(trials))
     failures = [(len(done), exc) for done, exc in shards if exc is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -200,9 +192,9 @@ def _run_shard(suites: list[Suite], shard: range):
     up to the first suite that raises, and that exception or None."""
     done = []
     for suite in suites:
+        trials = range(shard.start, min(shard.stop, suite.trials))
         try:
-            done.append(suite.records(
-                range(shard.start, min(shard.stop, suite.trials))))
+            done.append(suite.records(trials) if trials else ([], 0))
         except Exception as exc:  # run_suites raises it if no earlier one
             return done, exc
     return done, None
@@ -223,8 +215,14 @@ def ball_regulation_suite(factory, h: float, r_grid, trials: int,
 def _ball_records(factory, r_grid: list[float], bounds: list[float],
                   seed: int, trials: range):
     r_max = max(r_grid)
+    try:
+        inner = factory.window.shrink(r_max)
+    except ValueError:
+        raise ConfigurationError(
+            f"window {factory.window} cannot contain balls of radius {r_max}"
+        ) from None
     seeds = [trial_seed(seed, i) for i in trials]
-    centers = [_ball_center(factory.window, r_max, seed, i) for i in trials]
+    centers = [_ball_center(inner, seed, i) for i in trials]
     counts = []
     for group in factory.groups(
             (tseed, (center, r_max)) for tseed, center in zip(seeds, centers)):
@@ -304,20 +302,17 @@ def check_interference_bound(factory, h: float, model: BoundedPowerLaw,
                                           seed)])[0]
 
 
-def scheduled_suite(a: float, k: int, model: BoundedPowerLaw, seed: int,
-                    half_width: float) -> Suite:
-    """The check of :func:`check_scheduled_bound` as a :class:`Suite` of
-    one trial: the lattice is the same in every trial."""
-    lattice = lattice_factory(a, half_width, k)(seed)
-    return Suite(f"scheduled-bound-k{k}", 1,
-                 partial(_scheduled_records, lattice, hardcore_for_reuse(a, k),
-                         model, seed))
+def scheduled_suite(lattice: MarkedPointSet, h_k: float,
+                    model: BoundedPowerLaw, seed: int) -> Suite:
+    """The check of :func:`check_scheduled_bound` on a lattice colored for
+    reuse with same-class half-distance h_k, as a :class:`Suite` of one
+    trial: the lattice is the same in every trial."""
+    return Suite(f"scheduled-bound-k{lattice.num_marks}", 1,
+                 partial(_scheduled_records, lattice, h_k, model, seed))
 
 
 def _scheduled_records(lattice: MarkedPointSet, h_k: float,
                        model: BoundedPowerLaw, seed: int, trials: range):
-    if not trials:
-        return [], 0
     k = lattice.num_marks
     user = lattice.window.center
     # one sample per mark class, each keeping its points in lattice order
@@ -351,4 +346,6 @@ def check_scheduled_bound(a: float, k: int, model: BoundedPowerLaw,
     h_k); for that record `realized` holds the guaranteed SINR and `bound`
     the achieved one, keeping ratio <= 1 on success.
     """
-    return run_suites([scheduled_suite(a, k, model, seed, half_width)])[0]
+    lattice = lattice_factory(a, half_width, k)(seed)
+    return run_suites([scheduled_suite(lattice, hardcore_for_reuse(a, k),
+                                       model, seed)])[0]

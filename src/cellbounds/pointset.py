@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from ._textio import is_path, write_lines
-from .hexnet import UnsupportedReuseError
+from .hexnet import reuse
 
 _REL_SLACK = 1e-12
 # Relative inflation of the reach of a local Matern sample (see matern_groups).
@@ -155,24 +155,13 @@ def gen_triangular_lattice(a: float, window: Rect) -> MarkedPointSet:
 
 
 def color_lattice(lattice: MarkedPointSet, k: int) -> MarkedPointSet:
-    """Reuse coloring of a triangular lattice into k in {1, 3, 4} classes.
-
-    Same-mark sublattices have minimal spacing sqrt(3)*a (k=1), 3*a (k=3)
-    and 2*sqrt(3)*a (k=4).
-    """
-    if k not in (1, 3, 4):
-        raise UnsupportedReuseError(f"no reuse-{k} coloring available")
+    """The triangular lattice marked by its reuse-k coloring in
+    :data:`cellbounds.hexnet.REUSE`."""
+    mark = reuse(k).mark
     if lattice.lattice_ij is None:
         raise ValueError("coloring needs the lattice indices (i, j)")
-    i = lattice.lattice_ij[:, 0]
-    j = lattice.lattice_ij[:, 1]
-    if k == 1:
-        marks = np.ones(len(lattice), dtype=np.int64)
-    elif k == 3:
-        marks = (i + 2 * j) % 3 + 1
-    else:
-        marks = 2 * (i % 2) + (j % 2) + 1
-    return dataclasses.replace(lattice, marks=marks, num_marks=k)
+    return dataclasses.replace(lattice, marks=mark(*lattice.lattice_ij.T),
+                               num_marks=k)
 
 
 def sq_dists(points: np.ndarray, center) -> np.ndarray:

@@ -13,10 +13,17 @@ import math
 
 from scipy.integrate import quad
 
-from cellbounds.bounds import BallRegulation
+from cellbounds.bounds import BallRegulation, hardcore_regulation_constants
 from cellbounds.pathloss import BoundedPowerLaw
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-10, "limit": 200}
+
+
+def interferer_envelope(h: float) -> BallRegulation:
+    """The envelope (0, rho_h, nu_h) that ``interference_bound`` assumes:
+    sigma is dropped, as the serving transmitter is not an interferer."""
+    reg = hardcore_regulation_constants(h)
+    return BallRegulation(0.0, reg.rho, reg.nu)
 
 
 def conditional_bound_general(model: BoundedPowerLaw, envelope: BallRegulation,

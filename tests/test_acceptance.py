@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from cellbounds import cli
-from cellbounds.bounds import (exclusion_radius,
-                               hardcore_regulation_constants,
-                               interference_bound, legacy_bound)
+from cellbounds.bounds import (exclusion_radius, interference_bound,
+                               legacy_bound)
 from cellbounds.guarantees import (LinkBudget, critical_power,
                                    criticality_feasible, rate_always_active,
                                    rate_scheduled, solve_critical_hk)
 from cellbounds.pathloss import BoundedPowerLaw
-from oracles import conditional_bound_general
+from oracles import conditional_bound_general, interferer_envelope
 
 A_HEX = 4 / math.sqrt(3.0)   # hexagon edge length; the worst-case user distance
 H_AA = 2.0                   # always-active hardcore half-distance
@@ -153,7 +152,7 @@ def test_criterion_7_oracle_equivalence():
         for alpha in (2.5, 3.0, 4.0):
             model = BoundedPowerLaw(alpha)
             for h in (1.0, 2.0, 4.0):
-                envelope = hardcore_regulation_constants(h).without_sigma()
+                envelope = interferer_envelope(h)
                 for t in (1.0, 2.0, 5.0):
                     d = max(t, h)
                     t_real = exclusion_radius(d, h)

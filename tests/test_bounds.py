@@ -10,7 +10,7 @@ from cellbounds.bounds import (BallRegulation, exclusion_radius,
                                hardcore_regulation_constants,
                                interference_bound, legacy_bound)
 from cellbounds.pathloss import BoundedPowerLaw, DivergenceError
-from oracles import conditional_bound_general
+from oracles import conditional_bound_general, interferer_envelope
 
 D_HEX = 4 / math.sqrt(3.0)
 
@@ -52,7 +52,6 @@ def test_ball_regulation_envelope():
     reg = BallRegulation(1.0, 2.0, 0.5)
     assert reg.count_bound(0.0) == 1.0
     assert reg.count_bound(2.0) == 1.0 + 4.0 + 2.0
-    assert reg.without_sigma().sigma == 0.0
     with pytest.raises(ValueError):
         BallRegulation(-1.0, 2.0, 0.5)
     with pytest.raises(ValueError):
@@ -105,7 +104,7 @@ def test_conditional_bound_degenerate_interval():
 
 def test_conditional_bound_matches_closed_form_at_unit_exclusion():
     model = BoundedPowerLaw(4)
-    envelope = hardcore_regulation_constants(1.0).without_sigma()
+    envelope = interferer_envelope(1.0)
     value = conditional_bound_general(model, envelope, 1.0)
     assert value == pytest.approx(4.232198516546508, rel=1e-8)
 
@@ -169,7 +168,7 @@ def test_quadrature_route_matches_closed_form_grid():
     for alpha in (2.5, 3.0, 4.0):
         model = BoundedPowerLaw(alpha)
         for h in (1.0, 2.0, 4.0):
-            envelope = hardcore_regulation_constants(h).without_sigma()
+            envelope = interferer_envelope(h)
             for t in (1.0, 2.0, 5.0):
                 # d = t realizes the exclusion radius t whenever t >= h
                 d = max(t, h)
@@ -182,7 +181,7 @@ def test_quadrature_route_matches_closed_form_grid():
 def test_quadrature_route_matches_closed_form_below_unit_t():
     model = BoundedPowerLaw(4)
     h, d = 0.4, 0.4  # t = 0.4 < 1 exercises the piecewise tails
-    envelope = hardcore_regulation_constants(h).without_sigma()
+    envelope = interferer_envelope(h)
     closed = interference_bound(model, h, d)
     general = conditional_bound_general(model, envelope, exclusion_radius(d, h))
     assert general == pytest.approx(closed, rel=1e-8)
@@ -197,7 +196,7 @@ _D = st.floats(0.0, 20.0)
 @given(alpha=_ALPHA, h=_H, d=_D)
 def test_quadrature_route_matches_closed_form_random(alpha, h, d):
     model = BoundedPowerLaw(alpha)
-    envelope = hardcore_regulation_constants(h).without_sigma()
+    envelope = interferer_envelope(h)
     general = conditional_bound_general(model, envelope, exclusion_radius(d, h))
     assert general == pytest.approx(interference_bound(model, h, d), rel=1e-8)
 

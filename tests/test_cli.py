@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import io
 import math
 import os
 
@@ -132,6 +134,13 @@ def test_critical_power_marks_infeasible_rows(tmp_path):
                     "--hk-min", "2", "--hk-max", "2.5", "--hk-step", "0.25")
     assert code == 0
     _, _, rows = parse_csv(out)
+    assert all(r[2] == "" and r[3] == "false" for r in rows)
+    # the SIR that 5000 classes need overflows a float: infeasible too
+    code, out = run(tmp_path, "fig4d.csv", "critical-power", "--k", "5000",
+                    "--hk-step", "2")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [r[:2] for r in rows] == [["5000", h] for h in "2468"]
     assert all(r[2] == "" and r[3] == "false" for r in rows)
 
 
@@ -286,6 +295,14 @@ def test_header_echoes_every_option(tmp_path, case):
     assert not lines[len(echo)].startswith("#")
 
 
+def test_header_skips_options_without_a_value():
+    buf = io.StringIO()
+    cli._write_csv(argparse.Namespace(subcommand="demo", unset=None, k=3,
+                                      out=buf), ["x"], [(1,)])
+    assert buf.getvalue().splitlines() == ["# command = demo", "# k = 3",
+                                           "x", "1"]
+
+
 @pytest.mark.parametrize("command", sorted(SWEEP_SHA256))
 def test_sweep_csv_bytes_are_pinned(tmp_path, command):
     code, out = run(tmp_path, f"{command}.csv", command)
@@ -350,6 +367,21 @@ def test_verify_detects_sampler_with_half_the_gap(tmp_path, monkeypatch,
                   "--seed", "42")
     assert code == 3
     assert "total violations: 7" in capsys.readouterr().out
+
+
+def test_verify_builds_the_lattice_once(tmp_path, monkeypatch):
+    # the scheduled suites recolor the lattice of the ball and interference
+    # suites for each reuse factor
+    from cellbounds import montecarlo
+
+    calls = []
+    real = montecarlo.gen_triangular_lattice
+    monkeypatch.setattr(montecarlo, "gen_triangular_lattice",
+                        lambda *args: calls.append(args) or real(*args))
+    code, _ = run(tmp_path, "once.csv", "verify", "--suite", "all",
+                  "--trials", "2")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def pin_workers(monkeypatch, workers):

@@ -213,6 +213,9 @@ def test_critical_power_boundary_and_infeasible():
     assert boundary == pytest.approx(link.power, rel=1e-9)
     with pytest.raises(InfeasibleError):
         critical_power(link, 2.0, 3, 2.0)  # h_k far below critical
+    # (1 + theta)^5000 - 1 is beyond float range: no power reaches it
+    with pytest.raises(InfeasibleError):
+        critical_power(link, 2.0, 5000, 8.0)
 
 
 def test_critical_power_round_trip():

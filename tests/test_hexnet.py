@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cellbounds.guarantees import LinkBudget, rate_scheduled
-from cellbounds.hexnet import hardcore_for_reuse, hex_rate_sweep
+from cellbounds.hexnet import (UnsupportedReuseError, hardcore_for_reuse,
+                               hex_rate_sweep)
 from cellbounds.pathloss import BoundedPowerLaw
-from cellbounds.pointset import UnsupportedReuseError
 
 A_HEX = 4 / math.sqrt(3.0)
 

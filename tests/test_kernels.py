@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellbounds import kernels, pointset
+from cellbounds.hexnet import REUSE
 from cellbounds.pointset import Rect, color_lattice, gen_triangular_lattice
 
 
@@ -297,7 +298,7 @@ def test_matern_mask_property(pts, ages, radius):
         min_same_mark_brute_force(pts, marks)
 
 
-@pytest.mark.parametrize("k", [1, 3, 4])
+@pytest.mark.parametrize("k", sorted(REUSE))
 def test_min_same_mark_on_reuse_lattices(k):
     lattice = color_lattice(
         gen_triangular_lattice(4 / np.sqrt(3.0), Rect(-20, 20, -20, 20)), k)

@@ -9,7 +9,7 @@ from cellbounds import cli, kernels, montecarlo, pointset
 from cellbounds.bounds import (exclusion_radius, hardcore_regulation_constants,
                                interference_bound)
 from cellbounds.guarantees import LinkBudget, theta
-from cellbounds.hexnet import hardcore_for_reuse
+from cellbounds.hexnet import REUSE, hardcore_for_reuse
 from cellbounds.montecarlo import (ConfigurationError, TrialRecord,
                                    _ball_center, _finalize,
                                    ball_regulation_suite,
@@ -31,11 +31,12 @@ def ball_oracle(factory, h, seed, trials):
     """The ball suite's records and skipped count over ``trials``, each
     trial counted on the factory's whole sample of its seed."""
     bounds = [hardcore_regulation_constants(h).count_bound(r) for r in R_GRID]
+    inner = factory.window.shrink(max(R_GRID))
     records = []
     for i in trials:
         tseed = trial_seed(seed, i)
         ps = factory(tseed)
-        center = _ball_center(factory.window, max(R_GRID), seed, i)
+        center = _ball_center(inner, seed, i)
         records += [TrialRecord(tseed, r, r, float(ball_count(ps, center, r)),
                                 bound) for r, bound in zip(R_GRID, bounds)]
     return records, 0
@@ -153,12 +154,12 @@ def test_interference_negative_control():
     assert report.violations >= 1
 
 
-def test_scheduled_bounds_clean_for_all_reuse_factors():
-    for k in (1, 3, 4):
-        report = check_scheduled_bound(A_HEX, k, MODEL, seed=0)
-        assert report.violations == 0, f"reuse {k}"
-        assert report.max_ratio <= 1.0
-        assert len(report.records) == k + 1  # per-class rows plus the SINR row
+@pytest.mark.parametrize("k", sorted(REUSE))
+def test_scheduled_bounds_clean_for_all_reuse_factors(k):
+    report = check_scheduled_bound(A_HEX, k, MODEL, seed=0)
+    assert report.violations == 0
+    assert report.max_ratio <= 1.0
+    assert len(report.records) == k + 1  # per-class rows plus the SINR row
 
 
 @pytest.mark.parametrize("k", [3, 4])

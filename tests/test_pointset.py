@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from cellbounds import pointset
+from cellbounds.hexnet import UnsupportedReuseError
 from cellbounds.pointset import (MarkedPointSet, Rect, SampleGroup,
-                                 UnsupportedReuseError, ball_count,
-                                 color_lattice, from_csv,
+                                 ball_count, color_lattice, from_csv,
                                  gen_matern_ii, gen_triangular_lattice,
                                  matern_groups, nearest_index, sq_dists,
                                  tiled_groups, to_csv, verify_hardcore)

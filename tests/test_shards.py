@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from cellbounds import montecarlo
 from cellbounds._shards import map_shards, shard_ranges, worker_count
 from cellbounds.montecarlo import Suite, TrialRecord, run_suites
 
@@ -71,24 +72,31 @@ def counting_suite(label, trials, fail_at=()):
     return Suite(label, trials, records)
 
 
-def test_run_suites_merge_in_trial_order():
+def pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(montecarlo, "default_workers", lambda trials: workers)
+
+
+def test_run_suites_merge_in_trial_order(monkeypatch):
     suites = [counting_suite("a", 7), counting_suite("b", 1),
               counting_suite("c", 7)]
-    serial = run_suites(suites, workers=1)
+    pin_workers(monkeypatch, 1)
+    serial = run_suites(suites)
     for workers in (2, 3):
-        assert run_suites(suites, workers) == serial
+        pin_workers(monkeypatch, workers)
+        assert run_suites(suites) == serial
     assert [len(rep.records) for rep in serial] == [7, 1, 7]
     assert [rep.skipped for rep in serial] == [3, 0, 3]
     assert no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_run_suites_raise_what_a_serial_run_raises(workers):
+def test_run_suites_raise_what_a_serial_run_raises(monkeypatch, workers):
     # a later shard fails in an earlier suite than the first shard does,
     # and several shards fail in the same suite: the earliest suite wins,
     # then the earliest trial
     suites = [counting_suite("a", 6, fail_at={3, 5}),
               counting_suite("b", 6, fail_at={0})]
+    pin_workers(monkeypatch, workers)
     with pytest.raises(ValueError, match="^a trial 3$"):
-        run_suites(suites, workers)
+        run_suites(suites)
     assert no_child_left()
