@@ -9,8 +9,9 @@ from importlib import import_module
 # run on Python floats, never load numpy.
 _NAMES = {
     **dict.fromkeys(
-        ("BallRegulation", "exclusion_radius", "hardcore_regulation_constants",
-         "interference_bound", "legacy_bound"), "bounds"),
+        ("ball_count_bound", "exclusion_radius",
+         "hardcore_regulation_constants", "interference_bound",
+         "legacy_bound"), "bounds"),
     **dict.fromkeys(
         ("InfeasibleError", "LinkBudget", "critical_power",
          "criticality_feasible", "rate_always_active", "rate_scheduled",

@@ -1,7 +1,8 @@
 """Almost-sure interference bounds for hardcore-regulated transmitter sets.
 
 Any process whose points are pairwise at least 2h apart puts at most
-1 + rho_h R + nu_h R^2 points in any ball of radius R, where
+1 + rho_h R + nu_h R^2 points in any ball of radius R (`ball_count_bound`),
+where (`hardcore_regulation_constants`)
 
     rho_h = 2 pi / (sqrt(12) h),      nu_h = pi / (sqrt(12) h^2).
 
@@ -22,45 +23,19 @@ hold the two routes to agreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .pathloss import BoundedPowerLaw
 
 SQRT12 = math.sqrt(12.0)
 
 
-@dataclass(frozen=True)
-class BallRegulation:
-    """Quadratic envelope sigma + rho*R + nu*R^2 on counts in balls of radius R."""
+def hardcore_regulation_constants(h: float) -> tuple[float, float]:
+    """Coefficients (rho_h, nu_h) of the ball-count envelope of a process
+    with pairwise gap 2h.
 
-    sigma: float
-    rho: float
-    nu: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.sigma, self.rho, self.nu))):
-            raise ValueError(
-                f"envelope coefficients must be finite, got {self}")
-        if self.sigma < 0 or self.rho < 0:
-            raise ValueError("sigma and rho must be non-negative")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-
-    def count_bound(self, radius: float) -> float:
-        return self.sigma + self.rho * radius + self.nu * radius * radius
-
-
-def hardcore_regulation_constants(h: float) -> BallRegulation:
-    """Ball-count envelope (1, rho_h, nu_h) of a process with pairwise gap 2h.
-
-    Raises ValueError unless rho_h and nu_h are positive finite floats, as
-    for an h whose square underflows or overflows.
+    Raises ValueError unless both are positive finite floats, as for an h
+    whose square underflows or overflows.
     """
-    return BallRegulation(1.0, *_hardcore_coefficients(h))
-
-
-def _hardcore_coefficients(h: float) -> tuple[float, float]:
-    """(rho_h, nu_h), checked as :func:`hardcore_regulation_constants` says."""
     try:
         rho, nu = 2 * math.pi / (SQRT12 * h), math.pi / (SQRT12 * h * h)
     except ZeroDivisionError:
@@ -69,6 +44,13 @@ def _hardcore_coefficients(h: float) -> tuple[float, float]:
         raise ValueError("hardcore half-distance must give positive finite "
                          f"rho_h and nu_h, got {h}")
     return rho, nu
+
+
+def ball_count_bound(h: float, radius: float) -> float:
+    """Bound 1 + rho_h R + nu_h R^2 on the points of a 2h-hardcore set in
+    any ball of radius R."""
+    rho, nu = hardcore_regulation_constants(h)
+    return 1.0 + rho * radius + nu * radius * radius
 
 
 def exclusion_radius(d: float, h: float) -> float:
@@ -113,7 +95,7 @@ def interference_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     so for the bounded power law this is the closed form.
     """
     t = exclusion_radius(d, h)
-    rho, nu = _hardcore_coefficients(h)
+    rho, nu = hardcore_regulation_constants(h)
     return _closed_form(model, 0.0, rho, nu, t)
 
 
@@ -127,5 +109,5 @@ def legacy_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     exactly at t = 1.
     """
     t = exclusion_radius(d, h)
-    rho, nu = _hardcore_coefficients(h)
+    rho, nu = hardcore_regulation_constants(h)
     return _closed_form(model, 1.0, rho, nu, 0.0) - model.eval(t)

@@ -163,7 +163,8 @@ def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> float:
 
     Feasible (P_k* <= P) exactly when h_k is at least the critical
     separation h_k*; a non-positive denominator means the separation h_k
-    cannot reach the target at any power.
+    cannot reach the target at any power, and an infinite needed SIR that
+    no separation can.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -174,8 +175,11 @@ def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> float:
         needed_sir = math.inf
     denom = (link.model.eval(link.distance) / needed_sir
              - interference_bound(link.model, h_k, link.distance))
+    if needed_sir == math.inf:
+        raise InfeasibleError(
+            f"no power and no h_k reach the always-active rate at k = {k}: "
+            "it needs an infinite SIR")
     if denom <= 0:
         raise InfeasibleError(
-            f"h_k = {h_k} is below the critical separation: the scheduled "
-            "guarantee cannot reach the always-active rate at any power")
+            f"at h_k = {h_k} no power reaches the always-active rate")
     return link.noise / denom

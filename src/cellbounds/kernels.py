@@ -19,7 +19,8 @@ A call writes few pages, and later batches and calls write the same ones:
 it keeps the sort order and the bounds of each point's two runs (in 32
 bits where n allows), takes the coordinates from the caller's array
 instead of a sorted copy, and tests candidate pairs in batches whose
-arrays stay far below glibc's 128 KiB mmap threshold.  Arrays above it are mapped afresh each
+arrays stay far below glibc's mmap threshold, which importing this module
+raises from 128 KiB to 2 MiB.  Arrays above it are mapped afresh each
 time, one page fault per 4 KiB, and a forked ``verify`` worker pays a
 copy on its first write to each page it shares with its parent.
 """
@@ -49,6 +50,15 @@ _LABEL_BLOCKS = 8
 # about 10,400 page faults where this size takes tens; 1 << 11 faults as
 # seldom but makes verify-acceptance slower.
 _BATCH = 1 << 12
+
+# glibc gives the top of its heap back to the system once more than its
+# trim threshold, at first 128 KiB, lies free there.  A thinning call frees
+# a few hundred KiB, so whether the next call faulted them in again hung
+# on the heap's layout, which any import could shift.  Freeing a block
+# that glibc mapped on its own raises the threshold to twice the block's
+# size (the dynamic mmap threshold of mallopt(3)).  The block is never
+# written, so it costs no memory; elsewhere it is one allocation.
+np.empty(1 << 21, dtype=np.uint8)
 
 
 def _points(points) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from ._shards import default_workers, map_shards
-from .bounds import exclusion_radius, hardcore_regulation_constants, interference_bound
+from .bounds import ball_count_bound, exclusion_radius, interference_bound
 from .guarantees import link_at_snr, theta
 from .hexnet import hardcore_for_reuse
 from .pathloss import BoundedPowerLaw
@@ -130,7 +130,7 @@ def point_set_factory(ps: MarkedPointSet):
 
 def vertex_window(a: float, half_width: float) -> Rect:
     """Square window centered on a cell vertex of the lattice with edge a."""
-    s = math.sqrt(3.0) * a
+    s = 2 * hardcore_for_reuse(a, 1)  # the site spacing is 2 h_1
     vertex = (0.5 * s, s * math.sqrt(3.0) / 6)
     return Rect.square(vertex, half_width)
 
@@ -206,8 +206,7 @@ def ball_regulation_suite(factory, h: float, r_grid, trials: int,
     r_grid = [float(r) for r in r_grid]
     if not r_grid or min(r_grid) < 0:
         raise ConfigurationError("need a non-empty grid of non-negative radii")
-    reg = hardcore_regulation_constants(h)
-    bounds = [reg.count_bound(r) for r in r_grid]
+    bounds = [ball_count_bound(h, r) for r in r_grid]
     return Suite("ball-regulation", trials,
                  partial(_ball_records, factory, r_grid, bounds, seed))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from ._textio import is_path, write_lines
-from .hexnet import reuse
+from .hexnet import hardcore_for_reuse, reuse
 
 _REL_SLACK = 1e-12
 # Relative inflation of the reach of a local Matern sample (see matern_groups).
@@ -136,9 +136,7 @@ def gen_triangular_lattice(a: float, window: Rect) -> MarkedPointSet:
     inter-site distance s = sqrt(3)*a, where a is the hexagon edge length
     (equivalently the cell circumradius).
     """
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"edge length must be positive and finite, got {a}")
-    s = math.sqrt(3.0) * a
+    s = 2 * hardcore_for_reuse(a, 1)  # the site spacing is 2 h_1
     row = 0.5 * math.sqrt(3.0) * s
     # the (i, j) grid over a parallelogram around the window, row by row
     j_lo = math.floor(window.ymin / row) - 1

@@ -13,24 +13,25 @@ import math
 
 from scipy.integrate import quad
 
-from cellbounds.bounds import BallRegulation, hardcore_regulation_constants
+from cellbounds.bounds import hardcore_regulation_constants
 from cellbounds.pathloss import BoundedPowerLaw
 
 _QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-10, "limit": 200}
 
 
-def interferer_envelope(h: float) -> BallRegulation:
+def interferer_envelope(h: float) -> tuple[float, float, float]:
     """The envelope (0, rho_h, nu_h) that ``interference_bound`` assumes:
     sigma is dropped, as the serving transmitter is not an interferer."""
-    reg = hardcore_regulation_constants(h)
-    return BallRegulation(0.0, reg.rho, reg.nu)
+    return (0.0, *hardcore_regulation_constants(h))
 
 
-def conditional_bound_general(model: BoundedPowerLaw, envelope: BallRegulation,
+def conditional_bound_general(model: BoundedPowerLaw,
+                              envelope: tuple[float, float, float],
                               t: float, radius: float = math.inf) -> float:
     """A.s. bound on the attenuated sum outside the exclusion disc b(o, t).
 
-    For any envelope G with count(b(o,R) minus exclusion) <= G(R), the sum
+    For any envelope G(R) = sigma + rho R + nu R^2, given as the triple
+    ``(sigma, rho, nu)``, with count(b(o,R) minus exclusion) <= G(R), the sum
     of l(|x|) over b(o, radius) outside the exclusion region is at most
 
         -int_t^R G(r) l'(r) dr + l(R) G(R)
@@ -43,12 +44,13 @@ def conditional_bound_general(model: BoundedPowerLaw, envelope: BallRegulation,
         raise ValueError("exclusion radius must be finite and non-negative")
     if not radius >= t:  # also a NaN radius
         raise ValueError("outer radius must be at least the exclusion radius")
-    boundary = model.eval(t) * envelope.count_bound(t)
+    sigma, rho, nu = envelope
+    boundary = model.eval(t) * (sigma + rho * t + nu * t * t)
     if radius == t:
         return boundary
 
     def integrand(r):
-        return model.eval(r) * (envelope.rho + 2 * envelope.nu * r)
+        return model.eval(r) * (rho + 2 * nu * r)
 
     total = 0.0
     lo = t

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cellbounds.bounds import (BallRegulation, exclusion_radius,
+from cellbounds.bounds import (ball_count_bound, exclusion_radius,
                                hardcore_regulation_constants,
                                interference_bound, legacy_bound)
 from cellbounds.pathloss import BoundedPowerLaw, DivergenceError
@@ -17,31 +17,30 @@ D_HEX = 4 / math.sqrt(3.0)
 
 def quad_shot_noise(model, h):
     """Quadrature oracle for the shot-noise envelope bound."""
-    reg = hardcore_regulation_constants(h)
+    rho, nu = hardcore_regulation_constants(h)
     f = quad(model.eval, 0, 1, epsabs=1e-12, epsrel=1e-12)[0]
     f += quad(model.eval, 1, math.inf, epsabs=1e-12, epsrel=1e-12)[0]
     g = quad(lambda r: r * model.eval(r), 0, 1, epsabs=1e-12, epsrel=1e-12)[0]
     g += quad(lambda r: r * model.eval(r), 1, math.inf, epsabs=1e-12,
               epsrel=1e-12)[0]
-    return model.eval(0.0) + reg.rho * f + 2 * reg.nu * g
+    return model.eval(0.0) + rho * f + 2 * nu * g
 
 
 def test_hardcore_regulation_constants_values():
-    reg1 = hardcore_regulation_constants(1.0)
-    assert reg1.sigma == 1.0
-    assert reg1.rho == pytest.approx(1.8137993642342178, rel=1e-12)
-    assert reg1.nu == pytest.approx(0.9068996821171089, rel=1e-12)
-    reg2 = hardcore_regulation_constants(2.0)
-    assert reg2.rho == pytest.approx(0.9068996821171089, rel=1e-12)
-    assert reg2.nu == pytest.approx(0.22672492052927722, rel=1e-12)
+    rho1, nu1 = hardcore_regulation_constants(1.0)
+    assert rho1 == pytest.approx(1.8137993642342178, rel=1e-12)
+    assert nu1 == pytest.approx(0.9068996821171089, rel=1e-12)
+    rho2, nu2 = hardcore_regulation_constants(2.0)
+    assert rho2 == pytest.approx(0.9068996821171089, rel=1e-12)
+    assert nu2 == pytest.approx(0.22672492052927722, rel=1e-12)
 
 
 def test_hardcore_regulation_constants_scaling():
     h = 1.7
-    reg = hardcore_regulation_constants(h)
-    reg2 = hardcore_regulation_constants(2 * h)
-    assert reg2.rho == pytest.approx(reg.rho / 2, rel=1e-12)
-    assert reg2.nu == pytest.approx(reg.nu / 4, rel=1e-12)
+    rho, nu = hardcore_regulation_constants(h)
+    rho2, nu2 = hardcore_regulation_constants(2 * h)
+    assert rho2 == pytest.approx(rho / 2, rel=1e-12)
+    assert nu2 == pytest.approx(nu / 4, rel=1e-12)
     # 1e-170 squared underflows to 0, 1e160 squared overflows
     for bad in (0.0, math.nan, math.inf, 1e-170, 1e160):
         with pytest.raises(ValueError, match="hardcore half-distance"):
@@ -49,17 +48,16 @@ def test_hardcore_regulation_constants_scaling():
 
 
 def test_ball_regulation_envelope():
-    reg = BallRegulation(1.0, 2.0, 0.5)
-    assert reg.count_bound(0.0) == 1.0
-    assert reg.count_bound(2.0) == 1.0 + 4.0 + 2.0
-    with pytest.raises(ValueError):
-        BallRegulation(-1.0, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        BallRegulation(1.0, 2.0, 0.0)
-    for bad in (math.nan, math.inf):
-        for args in ((bad, 2.0, 0.5), (1.0, bad, 0.5), (1.0, 2.0, bad)):
-            with pytest.raises(ValueError):
-                BallRegulation(*args)
+    rho, nu = hardcore_regulation_constants(1.0)
+    assert ball_count_bound(1.0, 0.0) == 1.0
+    assert ball_count_bound(1.0, 2.0) == 1.0 + rho * 2.0 + nu * 2.0 * 2.0
+    # the bound depends on R / h alone
+    for h in (0.5, 1.0, 3.0):
+        assert ball_count_bound(h, 2 * h) == pytest.approx(
+            1 + 8 * math.pi / math.sqrt(12.0), rel=1e-14)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="hardcore half-distance"):
+            ball_count_bound(bad, 1.0)
 
 
 def test_exclusion_radius_cases():
@@ -87,9 +85,9 @@ def test_legacy_bound_full_plane_values():
 
 def test_conditional_bound_degenerate_interval():
     model = BoundedPowerLaw(4)
-    envelope = hardcore_regulation_constants(1.0)
+    envelope = (1.0, *hardcore_regulation_constants(1.0))
     t = 2.0
-    expected = model.eval(t) * envelope.count_bound(t)
+    expected = model.eval(t) * ball_count_bound(1.0, t)
     assert conditional_bound_general(model, envelope, t, radius=t) == pytest.approx(
         expected, rel=1e-12)
     # a NaN outer radius once gave the boundary term alone, and t = inf
@@ -111,10 +109,10 @@ def test_conditional_bound_matches_closed_form_at_unit_exclusion():
 
 def test_conditional_bound_constant_attenuation():
     # l = 1 on [0, 1], so the bound over b(o, 0.9) is the count bound G(0.9)
-    envelope = BallRegulation(0.3, 1.2, 0.4)
-    value = conditional_bound_general(BoundedPowerLaw(4), envelope, 0.2,
-                                      radius=0.9)
-    assert value == pytest.approx(envelope.count_bound(0.9), rel=1e-14)
+    value = conditional_bound_general(BoundedPowerLaw(4), (0.3, 1.2, 0.4),
+                                      0.2, radius=0.9)
+    assert value == pytest.approx(0.3 + 1.2 * 0.9 + 0.4 * 0.9 * 0.9,
+                                  rel=1e-14)
 
 
 def test_interference_bound_frozen_values():

@@ -213,8 +213,15 @@ def test_critical_power_boundary_and_infeasible():
     assert boundary == pytest.approx(link.power, rel=1e-9)
     with pytest.raises(InfeasibleError):
         critical_power(link, 2.0, 3, 2.0)  # h_k far below critical
+    # no critical separation exists at k = 4000, so the message names only
+    # the h_k at hand
+    assert not criticality_feasible(link, 2.0, 4000)
+    with pytest.raises(InfeasibleError, match=r"^at h_k = 8\.0 no power "
+                       "reaches the always-active rate$"):
+        critical_power(link, 2.0, 4000, 8.0)
     # (1 + theta)^5000 - 1 is beyond float range: no power reaches it
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match=r"^no power and no h_k reach "
+                       "the always-active rate at k = 5000"):
         critical_power(link, 2.0, 5000, 8.0)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cellbounds import cli, kernels, montecarlo, pointset
-from cellbounds.bounds import (exclusion_radius, hardcore_regulation_constants,
+from cellbounds.bounds import (ball_count_bound, exclusion_radius,
                                interference_bound)
 from cellbounds.guarantees import LinkBudget, theta
 from cellbounds.hexnet import REUSE, hardcore_for_reuse
@@ -30,7 +30,7 @@ R_GRID = [2.0, 4.0, 8.0, 16.0]
 def ball_oracle(factory, h, seed, trials):
     """The ball suite's records and skipped count over ``trials``, each
     trial counted on the factory's whole sample of its seed."""
-    bounds = [hardcore_regulation_constants(h).count_bound(r) for r in R_GRID]
+    bounds = [ball_count_bound(h, r) for r in R_GRID]
     inner = factory.window.shrink(max(R_GRID))
     records = []
     for i in trials:
