@@ -16,13 +16,13 @@ each group up to a budget of Poisson points.  :func:`min_same_mark_sq_dist`
 labels the points by mark the same way, so all marks are searched at once.
 
 A call writes few pages, and later batches and calls write the same ones:
-it keeps the sort order and the bounds of each point's two runs (in 32
-bits where n allows), takes the coordinates from the caller's array
-instead of a sorted copy, and tests candidate pairs in batches whose
-arrays stay far below glibc's mmap threshold, which importing this module
-raises from 128 KiB to 2 MiB.  Arrays above it are mapped afresh each
-time, one page fault per 4 KiB, and a forked ``verify`` worker pays a
-copy on its first write to each page it shares with its parent.
+it keeps the sort order and the bounds of each point's two runs, takes the
+coordinates from the caller's array instead of a sorted copy, and tests
+candidate pairs in batches whose arrays stay far below glibc's mmap
+threshold, which importing this module raises from 128 KiB to 2 MiB.
+Arrays above it are mapped afresh each time, one page fault per 4 KiB,
+and a forked ``verify`` worker pays a copy on its first write to each page
+it shares with its parent.
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ _MAX_CELLS_PER_AXIS = 2 ** 20
 # (about 25 labels, 4,000 points over a 108 x 108 window) then keeps cells
 # of the search radius, about 5 cells per point in all.
 _LABEL_BLOCKS = 8
-# Candidate pairs tested at once.  A batch's largest array, the coordinate
-# differences, takes 64 KiB, so the allocator reuses the heap pages the
-# batch before freed.  At 1 << 14 each of about ten arrays took exactly
-# 128 KiB, glibc's mmap threshold, and a warm `verify --trials 100` took
-# about 10,400 page faults where this size takes tens; 1 << 11 faults as
-# seldom but makes verify-acceptance slower.
+# Candidate pairs tested at once.  A batch bounds the memory of a call
+# where many points share a cell (a tight cluster), and its arrays, the
+# largest of them the 64 KiB of coordinate differences, stay in L2 and far
+# below the mmap threshold raised below, so the allocator reuses the heap
+# pages the batch before freed.  1 << 11 makes verify-acceptance slower.
 _BATCH = 1 << 12
 
 # glibc gives the top of its heap back to the system once more than its
@@ -84,9 +83,9 @@ def _extent(pts: np.ndarray):
     return xmin, ymin, width, height
 
 
-def _cell_runs(pts: np.ndarray, radius: float, cloud, index):
-    """The order that sorts the points into cells, and the bounds of two
-    runs of sorted positions per point (see :func:`_close_pairs`).
+def _cell_runs(pts: np.ndarray, radius: float, cloud: np.ndarray):
+    """The order that sorts the points into cells by the required labels
+    ``cloud`` (see :func:`_close_pairs`), and two runs per point.
 
     Returns ``order, own_end, next_begin, next_end``: the point at sorted
     position ``p`` is paired with positions ``p + 1`` to ``own_end[p]``,
@@ -96,7 +95,7 @@ def _cell_runs(pts: np.ndarray, radius: float, cloud, index):
     """
     n = pts.shape[0]
     xmin, ymin, width, height = _extent(pts)
-    labels = 1 if cloud is None else int(cloud.max()) + 1
+    labels = int(cloud.max()) + 1
     # each sparse term bounds the cells of all the labels' blocks together
     spread = max(1.0, labels / _LABEL_BLOCKS)
     side = max(radius * (1 + _SEARCH_SLACK),
@@ -111,17 +110,16 @@ def _cell_runs(pts: np.ndarray, radius: float, cloud, index):
     cell = ((pts[:, 0] - xmin) / side).astype(np.intp)
     cell *= rows
     cell += ((pts[:, 1] - ymin) / side).astype(np.intp)
-    if cloud is not None:
-        cell += cloud * block
+    cell += cloud * block
     order = cell.argsort()
     cell = cell.take(order)
-    start = np.zeros(cells + 1, dtype=index)
+    start = np.zeros(cells + 1, dtype=np.intp)
     np.cumsum(np.bincount(cell, minlength=cells), out=start[1:])
     return (order, start.take(cell + 2), start.take(cell + (rows - 1)),
             start.take(cell + (rows + 2)))
 
 
-def _close_pairs(pts: np.ndarray, radius: float, cloud=None):
+def _close_pairs(pts: np.ndarray, radius: float, cloud: np.ndarray):
     """Index arrays ``(i, j)`` of the pairs of points closer than radius.
 
     Yields the pairs in batches: each unordered pair with
@@ -139,21 +137,18 @@ def _close_pairs(pts: np.ndarray, radius: float, cloud=None):
     (a tight cluster far from other points); the time then grows with the
     square of the cluster's size.
 
-    ``cloud``, an array of integer labels in ``0..n-1``, one per point,
-    gives each label a block of cells of its own, so that only points of
-    the same label are paired.  Up to ``_LABEL_BLOCKS`` labels share the
-    cell budget of one cloud; more labels widen the cells, keeping the
-    total at about ``3 * _LABEL_BLOCKS`` cells per point.
+    ``cloud``, which is required, is an intp array of labels in
+    ``0..n-1``, one per point; a single cloud is all zeros.  It gives each
+    label a block of cells of its own, so that only points of the same
+    label are paired.  Up to ``_LABEL_BLOCKS`` labels share the cell budget
+    of one cloud; more labels widen the cells, keeping the total at about
+    ``3 * _LABEL_BLOCKS`` cells per point.
     """
     n = pts.shape[0]
     if n < 2 or not radius > 0:
         return
-    # sorted positions, and offsets of under a batch from them, fit in 32
-    # bits unless n is huge
-    index = np.int32 if 2 * n + _BATCH < 2 ** 31 else np.intp
-    order, own_end, next_begin, next_end = _cell_runs(pts, radius, cloud,
-                                                      index)
-    for begin, length in ((np.arange(1, n + 1, dtype=index), own_end),
+    order, own_end, next_begin, next_end = _cell_runs(pts, radius, cloud)
+    for begin, length in ((np.arange(1, n + 1), own_end),
                           (next_begin, next_end)):
         length -= begin
         for lo, hi in _batch_cuts(length):
@@ -162,10 +157,10 @@ def _close_pairs(pts: np.ndarray, radius: float, cloud=None):
             # candidate k of the batch lies in the run of point p at sorted
             # position k - skew[p], skew[p] counting the batch's candidates
             # before that run less begin[p]
-            skew = np.cumsum(count, dtype=index)
+            skew = np.cumsum(count)
             skew -= count
             skew -= begin[lo:hi]
-            j = np.arange(i.shape[0], dtype=index)
+            j = np.arange(i.shape[0])
             j -= skew.repeat(count)
             j = order.take(j)
             close = _sq_dist(pts, i, j) < radius * radius
@@ -198,16 +193,17 @@ def matern_keep_mask(points, ages, radius: float, cloud=None) -> np.ndarray:
     age = np.asarray(ages, dtype=np.float64).reshape(-1)
     if age.shape[0] != pts.shape[0]:
         raise ValueError("ages and points must have equal length")
-    if cloud is not None:
-        cloud = np.asarray(cloud).reshape(-1)
-        if cloud.shape[0] != pts.shape[0]:
-            raise ValueError("cloud labels and points must have equal length")
-        if cloud.shape[0]:
-            if cloud.dtype.kind not in "iu" or cloud.min() < 0:
-                raise ValueError("cloud labels must be non-negative integers")
-            if cloud.max() >= cloud.shape[0]:  # one block per label in use
-                cloud = np.unique(cloud, return_inverse=True)[1].reshape(-1)
-        cloud = cloud.astype(np.intp, copy=False)
+    if cloud is None:  # one sample
+        cloud = np.zeros(pts.shape[0], dtype=np.intp)
+    cloud = np.asarray(cloud).reshape(-1)
+    if cloud.shape[0] != pts.shape[0]:
+        raise ValueError("cloud labels and points must have equal length")
+    if cloud.shape[0]:
+        if cloud.dtype.kind not in "iu" or cloud.min() < 0:
+            raise ValueError("cloud labels must be non-negative integers")
+        if cloud.max() >= cloud.shape[0]:  # one block per label in use
+            cloud = np.unique(cloud, return_inverse=True)[1].reshape(-1)
+    cloud = cloud.astype(np.intp, copy=False)
     keep = np.ones(pts.shape[0], dtype=bool)
     for a, b in _close_pairs(pts, float(radius), cloud):
         i, j = np.minimum(a, b), np.maximum(a, b)

@@ -13,7 +13,7 @@ checks conservative, never unsound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -58,8 +58,8 @@ class VerificationReport:
     trials: int
     violations: int
     max_ratio: float
-    records: list[TrialRecord] = field(default_factory=list)
-    skipped: int = 0
+    records: list[TrialRecord]
+    skipped: int
 
     def summary(self) -> str:
         line = (f"{self.label}: trials={self.trials} checks={len(self.records)} "
@@ -105,7 +105,7 @@ def matern_factory(intensity: float, hardcore_radius: float, window: Rect):
     Its groups are thinned together and hold only the points within reach
     of ``near`` (see :func:`cellbounds.pointset.matern_groups`).
     """
-    check_matern(intensity, hardcore_radius)
+    check_matern(intensity, hardcore_radius, window)
 
     def make(seed: int) -> MarkedPointSet:
         return gen_matern_ii(intensity, hardcore_radius, window, seed)
@@ -333,8 +333,7 @@ def _scheduled_records(lattice: MarkedPointSet, h_k: float,
 
 
 def check_scheduled_bound(a: float, k: int, model: BoundedPowerLaw,
-                          seed: int = 0,
-                          half_width: float = 40.0) -> VerificationReport:
+                          seed: int = 0) -> VerificationReport:
     """Per-class interference and SINR of the reuse-k lattice at the vertex user.
 
     For each mark class the user's nearest point of that class plays the
@@ -345,6 +344,6 @@ def check_scheduled_bound(a: float, k: int, model: BoundedPowerLaw,
     h_k); for that record `realized` holds the guaranteed SINR and `bound`
     the achieved one, keeping ratio <= 1 on success.
     """
-    lattice = lattice_factory(a, half_width, k)(seed)
+    lattice = lattice_factory(a, 40.0, k)(seed)
     return run_suites([scheduled_suite(lattice, hardcore_for_reuse(a, k),
                                        model, seed)])[0]

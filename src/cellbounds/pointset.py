@@ -242,14 +242,20 @@ def _nearest(points: np.ndarray, d2: np.ndarray) -> int:
     return int(tied[0])
 
 
-def check_matern(intensity: float, hardcore_radius: float) -> None:
-    """Raise ValueError unless both Matern parameters are finite and positive."""
+def check_matern(intensity: float, hardcore_radius: float,
+                 window: Rect) -> None:
+    """Raise ValueError unless both Matern parameters are finite and
+    positive, and so is the Poisson mean on the window they expand."""
     if not (math.isfinite(intensity) and math.isfinite(hardcore_radius)):
         raise ValueError("intensity and hardcore radius must be finite")
     if intensity <= 0:
         raise ValueError("intensity must be positive")
     if hardcore_radius <= 0:
         raise ValueError("hardcore radius must be positive")
+    area = window.expand(hardcore_radius).area
+    if not math.isfinite(intensity * area):
+        raise ValueError(f"the mean number of Poisson points, intensity "
+                         f"{intensity} times area {area}, is not finite")
 
 
 def _grouped(samples: Iterable, size) -> Iterator[list]:
@@ -299,7 +305,7 @@ def matern_groups(intensity: float, hardcore_radius: float, window: Rect,
     whole Poisson sample is still drawn, so the random stream is the same
     as without ``near``.
     """
-    check_matern(intensity, hardcore_radius)
+    check_matern(intensity, hardcore_radius, window)
     ext = window.expand(hardcore_radius)
     samples = (_draw(ext, intensity * ext.area, hardcore_radius, *draw)
                for draw in draws)
@@ -392,13 +398,12 @@ def to_csv(ps: MarkedPointSet, path_or_file) -> None:
     write_lines(path_or_file, lines)
 
 
-def from_csv(path_or_file, window: Rect | None = None,
-             num_marks: int | None = None) -> MarkedPointSet:
+def from_csv(path_or_file, window: Rect | None = None) -> MarkedPointSet:
     """Read a point set written by :func:`to_csv`.
 
     Without an explicit window the bounding box of the points is used,
     which requires a non-empty file; a side of width 0 is widened.  A row
-    must hold three numbers, and ``num_marks`` defaults to the largest mark.
+    must hold three numbers, and ``num_marks`` is the largest mark.
     """
     if is_path(path_or_file):
         with open(path_or_file) as fh:
@@ -424,8 +429,7 @@ def from_csv(path_or_file, window: Rect | None = None,
         hi = np.maximum(hi, np.maximum(lo + 1e-9, np.nextafter(lo, top)))
         lo = np.minimum(lo, np.nextafter(hi, -top))
         window = Rect(lo[0], hi[0], lo[1], hi[1])
-    if num_marks is None:
-        # the largest mark, where it is a count that MarkedPointSet can check
-        top = marks.max(initial=1)
-        num_marks = int(top) if top < 2 ** 31 else 1
-    return MarkedPointSet(pts, marks, window, num_marks=num_marks)
+    # the largest mark, where it is a count that MarkedPointSet can check
+    top = marks.max(initial=1)
+    return MarkedPointSet(pts, marks, window,
+                          num_marks=int(top) if top < 2 ** 31 else 1)

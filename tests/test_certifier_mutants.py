@@ -79,6 +79,11 @@ MUTANTS = [
              constants_times(nu=0.9),
              "the tightest ball count, 60 lattice points at R = 16, "
              "exceeds its bound only with nu_h scaled below 0.77"),
+    survives("nu*0.95", bounds, "hardcore_regulation_constants",
+             constants_times(nu=0.95),
+             "only a site-centred lattice ball near R = 38.6h, which no "
+             "suite of verify draws, exceeds its bound with nu_h scaled "
+             "by 0.95"),
     *(survives(f"rho*{c}", bounds, "hardcore_regulation_constants",
                constants_times(rho=c),
                "the tightest ball count, 60 lattice points at R = 16, "

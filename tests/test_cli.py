@@ -240,6 +240,9 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv):
     ("bound-compare", "--hardcore", "1e160"),
     # a sample too large for memory: about 85 TiB, refused at once
     ("verify", "--trials", "2", "--intensity", "1e9"),
+    # a Poisson mean that is not finite, and one above numpy's limit
+    ("verify", "--trials", "1", "--window", "1e200"),
+    ("verify", "--trials", "1", "--window", "1e10"),
     # a subnormal or zero power, received signal or noise power
     ("rate-vs-hk", "--power", "1e-320"),
     ("critical-power", "--power", "1e-320"),

@@ -305,6 +305,12 @@ def test_check_wrappers_are_the_same_for_any_worker_count(monkeypatch):
     assert [len(rep.records) for rep in reports[0]] == [28, 28, 7]
 
 
+def test_matern_factory_rejects_a_poisson_mean_that_is_not_finite():
+    # at once, not at the first sample
+    with pytest.raises(ValueError, match="area inf, is not finite"):
+        matern_factory(0.1, 4.0, Rect(0, 1e200, 0, 1e200))
+
+
 def test_matern_ball_check_window_too_small():
     factory = matern_factory(0.1, 4.0, Rect(0, 30, 0, 30))
     with pytest.raises(ConfigurationError):

@@ -336,6 +336,16 @@ def test_matern_rejects_non_finite_parameters(intensity, radius):
         gen_matern_ii(intensity, radius, Rect(0, 10, 0, 10), 1)
 
 
+@pytest.mark.parametrize("window", [Rect(0, 1e200, 0, 1e200),
+                                    Rect(-1e308, 1e308, 0, 1)])
+def test_matern_rejects_a_poisson_mean_that_is_not_finite(window):
+    # the mean, not numpy's poisson, says what is wrong; a finite mean above
+    # numpy's limit is left to numpy
+    with pytest.raises(ValueError,
+                       match="intensity 0.1 times area inf, is not finite"):
+        next(matern_groups(0.1, 4.0, window, [(1, None)]))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_sq_dists_equal_the_summed_squares(seed):
     # integer coordinates give exact ties; the centers sit on, between and
