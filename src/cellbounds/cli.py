@@ -188,6 +188,12 @@ def cmd_verify(args) -> int:
                                    hardcore_for_reuse(args.a, k), model,
                                    args.seed) for k in REUSE]
     reports = run_suites(suites)
+    # a suite that ran trials but kept no record certified nothing
+    for i, rep in enumerate(reports, 1):
+        if rep.trials > 0 and not rep.records:
+            raise _UsageError(
+                f"suite {i} ({rep.label}) checked nothing: "
+                f"skipped={rep.skipped} of trials={rep.trials}")
 
     footer = [rep.summary() for rep in reports]
     _write_csv(args, ["seed", "d", "t", "realized", "bound", "ratio"],

@@ -128,16 +128,11 @@ def point_set_factory(ps: MarkedPointSet):
     return make
 
 
-def vertex_window(a: float, half_width: float) -> Rect:
-    """Square window centered on a cell vertex of the lattice with edge a."""
-    s = 2 * hardcore_for_reuse(a, 1)  # the site spacing is 2 h_1
-    vertex = (0.5 * s, s * math.sqrt(3.0) / 6)
-    return Rect.square(vertex, half_width)
-
-
 def lattice_factory(a: float, half_width: float, k: int = 1):
-    """Source of the reuse-k colored lattice on a vertex-centered window."""
-    window = vertex_window(a, half_width)
+    """Source of the reuse-k colored lattice with edge a on the square
+    window of the given half-width centered on a cell vertex."""
+    s = 2 * hardcore_for_reuse(a, 1)  # the site spacing is 2 h_1
+    window = Rect.square((0.5 * s, s * math.sqrt(3.0) / 6), half_width)
     return point_set_factory(
         color_lattice(gen_triangular_lattice(a, window), k))
 
@@ -202,7 +197,14 @@ def _run_shard(suites: list[Suite], shard: range):
 
 def ball_regulation_suite(factory, h: float, r_grid, trials: int,
                           seed: int) -> Suite:
-    """The trials of :func:`check_ball_regulation` as a :class:`Suite`."""
+    """Counts in random balls never exceed 1 + rho_h R + nu_h R^2.
+
+    Ball centers are drawn uniformly over the window shrunk by max(R), so
+    each checked ball lies fully inside the window.  The factory is a
+    source (see :func:`matern_factory`), asked only for the points within
+    max(R) of each center, and the balls of a group of its samples are
+    counted in one pass.
+    """
     r_grid = [float(r) for r in r_grid]
     if not r_grid or min(r_grid) < 0:
         raise ConfigurationError("need a non-empty grid of non-negative radii")
@@ -235,22 +237,20 @@ def _ball_records(factory, r_grid: list[float], bounds: list[float],
 
 def check_ball_regulation(factory, h: float, r_grid, trials: int,
                           seed: int) -> VerificationReport:
-    """Counts in random balls never exceed 1 + rho_h R + nu_h R^2.
-
-    Ball centers are drawn uniformly over the window shrunk by max(R), so
-    each checked ball lies fully inside the window.  The factory is a
-    source (see :func:`matern_factory`), asked only for the points within
-    max(R) of each center, and the balls of a group of its samples are
-    counted in one pass.  The trials run sharded, as in ``verify`` (see
-    :func:`run_suites`).
-    """
+    """The report of :func:`ball_regulation_suite` run alone."""
     return run_suites([ball_regulation_suite(factory, h, r_grid, trials,
                                              seed)])[0]
 
 
 def interference_suite(factory, h: float, model: BoundedPowerLaw,
                        trials: int, seed: int) -> Suite:
-    """The trials of :func:`check_interference_bound` as a :class:`Suite`."""
+    """Realized interference at the window center never exceeds the bound.
+
+    Per trial: the user sits at the window center, associates with the
+    nearest point x0 at distance d, and the realized sum of l(|x - user|)
+    over all other points is checked against interference_bound(l, h, d).
+    Empty samples are skipped and counted.
+    """
     return Suite("interference-bound", trials,
                  partial(_interference_records, factory, h, model, seed))
 
@@ -289,23 +289,26 @@ def _interference_record(seed: int, model: BoundedPowerLaw, h: float,
 
 def check_interference_bound(factory, h: float, model: BoundedPowerLaw,
                              trials: int, seed: int) -> VerificationReport:
-    """Realized interference at the window center never exceeds the bound.
-
-    Per trial: the user sits at the window center, associates with the
-    nearest point x0 at distance d, and the realized sum of l(|x - user|)
-    over all other points is checked against interference_bound(l, h, d).
-    Empty samples are skipped and counted.  The trials run sharded, as in
-    ``verify`` (see :func:`run_suites`).
-    """
+    """The report of :func:`interference_suite` run alone."""
     return run_suites([interference_suite(factory, h, model, trials,
                                           seed)])[0]
 
 
 def scheduled_suite(lattice: MarkedPointSet, h_k: float,
                     model: BoundedPowerLaw, seed: int) -> Suite:
-    """The check of :func:`check_scheduled_bound` on a lattice colored for
-    reuse with same-class half-distance h_k, as a :class:`Suite` of one
-    trial: the lattice is the same in every trial."""
+    """Per-class interference and SINR of a colored point set at its
+    window center, as a :class:`Suite` of one trial.
+
+    The set is colored for reuse: its marks are the k classes, and h_k is
+    their same-class half-distance.  For each mark class the user's
+    nearest point of that class plays the serving role: the remaining
+    same-class interference must respect interference_bound(l, h_k,
+    d_class).  A final record checks the active slot of the actually
+    serving site, at power P = 1 and an SNR of 0 dB (P cancels out of the
+    SINR): its realized SINR must reach theta(P, h_k); for that record
+    `realized` holds the guaranteed SINR and `bound` the achieved one,
+    keeping ratio <= 1 on success.
+    """
     return Suite(f"scheduled-bound-k{lattice.num_marks}", 1,
                  partial(_scheduled_records, lattice, h_k, model, seed))
 
@@ -320,7 +323,7 @@ def _scheduled_records(lattice: MarkedPointSet, h_k: float,
                              np.bincount(lattice.marks, minlength=k + 1)[1:])
     found = _interference(classes, [user] * k, model.alpha)
     if None in found:
-        raise ConfigurationError(f"the reuse-{k} lattice has no point of "
+        raise ConfigurationError(f"the reuse-{k} point set has no point of "
                                  f"mark {found.index(None) + 1}")
     records = [_interference_record(seed, model, h_k, *hit) for hit in found]
     d, realized = found[lattice.marks[nearest_index(lattice, user)] - 1]
@@ -332,18 +335,8 @@ def _scheduled_records(lattice: MarkedPointSet, h_k: float,
     return records, 0
 
 
-def check_scheduled_bound(a: float, k: int, model: BoundedPowerLaw,
-                          seed: int = 0) -> VerificationReport:
-    """Per-class interference and SINR of the reuse-k lattice at the vertex user.
-
-    For each mark class the user's nearest point of that class plays the
-    serving role: the remaining same-class interference must respect
-    interference_bound(l, h_k, d_class).  A final record checks the active
-    slot of the actually serving site, at power P = 1 and an SNR of 0 dB
-    (P cancels out of the SINR): its realized SINR must reach theta(P,
-    h_k); for that record `realized` holds the guaranteed SINR and `bound`
-    the achieved one, keeping ratio <= 1 on success.
-    """
-    lattice = lattice_factory(a, 40.0, k)(seed)
-    return run_suites([scheduled_suite(lattice, hardcore_for_reuse(a, k),
-                                       model, seed)])[0]
+def check_scheduled_bound(lattice: MarkedPointSet, h_k: float,
+                          model: BoundedPowerLaw,
+                          seed: int) -> VerificationReport:
+    """The report of :func:`scheduled_suite` run alone."""
+    return run_suites([scheduled_suite(lattice, h_k, model, seed)])[0]

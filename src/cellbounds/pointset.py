@@ -245,7 +245,9 @@ def _nearest(points: np.ndarray, d2: np.ndarray) -> int:
 def check_matern(intensity: float, hardcore_radius: float,
                  window: Rect) -> None:
     """Raise ValueError unless both Matern parameters are finite and
-    positive, and so is the Poisson mean on the window they expand."""
+    positive, and so is the Poisson mean on the window they expand, which
+    must also be at most 2**62: below numpy's Poisson limit of about
+    9.2e18, and far above any sample that fits in memory."""
     if not (math.isfinite(intensity) and math.isfinite(hardcore_radius)):
         raise ValueError("intensity and hardcore radius must be finite")
     if intensity <= 0:
@@ -253,9 +255,13 @@ def check_matern(intensity: float, hardcore_radius: float,
     if hardcore_radius <= 0:
         raise ValueError("hardcore radius must be positive")
     area = window.expand(hardcore_radius).area
-    if not math.isfinite(intensity * area):
+    mean = intensity * area
+    if not math.isfinite(mean):
         raise ValueError(f"the mean number of Poisson points, intensity "
                          f"{intensity} times area {area}, is not finite")
+    if mean > 2 ** 62:
+        raise ValueError(f"the mean number of Poisson points, intensity "
+                         f"{intensity} times area {area}, is above 2**62")
 
 
 def _grouped(samples: Iterable, size) -> Iterator[list]:

@@ -191,6 +191,24 @@ def test_verify_zero_trials_is_vacuous(tmp_path):
     assert rows == []
 
 
+@pytest.mark.parametrize("argv, position, label, skipped", [
+    # every Matern sample is empty
+    (("--trials", "2", "--intensity", "1e-300"), 4, "interference-bound", 2),
+    # the lattice window holds no site
+    (("--suite", "interference", "--lattice-half-width", "0.5", "--trials",
+      "2"), 1, "interference-bound", 1),
+], ids=["empty-matern", "empty-lattice"])
+def test_verify_suite_that_checks_nothing_is_usage_error(
+        tmp_path, capsys, argv, position, label, skipped):
+    # trials ran but every one was skipped: nothing was certified
+    code, out = run(tmp_path, "none.csv", "verify", *argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f"error: suite {position} ({label}) checked nothing: "
+                   f"skipped={skipped} of trials={skipped}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option, value", [("--trials", "-5"),
                                            ("--seed", "-1")],
                          ids=["trials", "seed"])
@@ -240,7 +258,7 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv):
     ("bound-compare", "--hardcore", "1e160"),
     # a sample too large for memory: about 85 TiB, refused at once
     ("verify", "--trials", "2", "--intensity", "1e9"),
-    # a Poisson mean that is not finite, and one above numpy's limit
+    # a Poisson mean that is not finite, and one above 2**62
     ("verify", "--trials", "1", "--window", "1e200"),
     ("verify", "--trials", "1", "--window", "1e10"),
     # a subnormal or zero power, received signal or noise power

@@ -8,6 +8,8 @@ subcommand is shown to run without it, not only to leave it unloaded.
 """
 
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +106,30 @@ def test_every_public_name_resolves():
 def test_public_names_are_listed_once_in_order():
     import cellbounds
     assert cellbounds.__all__ == sorted(set(cellbounds.__all__))
+
+
+_README_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+for block in json.loads(sys.argv[2]):
+    namespace = {}
+    exec(block, namespace)
+    report = namespace["report"]
+    assert report.records and not report.violations, report.summary()
+"""
+
+
+def test_readme_snippets_run_without_scipy(tmp_path):
+    # each python block of README certifies the sites.csv it reads: a
+    # reuse-3 lattice, written as a user's layout would be
+    from cellbounds import lattice_factory, to_csv
+    to_csv(lattice_factory(4 / math.sqrt(3.0), 40.0, 3)(0),
+           tmp_path / "sites.csv")
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 2
+    done = subprocess.run([sys.executable, "-c", _README_SCRIPT, str(SRC),
+                           json.dumps(blocks)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -17,8 +17,8 @@ from cellbounds.montecarlo import (ConfigurationError, TrialRecord,
                                    check_interference_bound,
                                    check_scheduled_bound, interference_suite,
                                    lattice_factory, matern_factory,
-                                   point_set_factory, trial_seed,
-                                   vertex_window)
+                                   point_set_factory, run_suites,
+                                   scheduled_suite, trial_seed)
 from cellbounds.pathloss import BoundedPowerLaw
 from cellbounds.pointset import MarkedPointSet, Rect, ball_count, nearest_index
 
@@ -154,9 +154,16 @@ def test_interference_negative_control():
     assert report.violations >= 1
 
 
+def scheduled_args(k, seed):
+    """The arguments of the scheduled check on the reuse-k lattice of
+    ``verify``'s defaults."""
+    return (lattice_factory(A_HEX, 40.0, k)(seed), hardcore_for_reuse(A_HEX, k),
+            MODEL, seed)
+
+
 @pytest.mark.parametrize("k", sorted(REUSE))
 def test_scheduled_bounds_clean_for_all_reuse_factors(k):
-    report = check_scheduled_bound(A_HEX, k, MODEL, seed=0)
+    report = check_scheduled_bound(*scheduled_args(k, 0))
     assert report.violations == 0
     assert report.max_ratio <= 1.0
     assert len(report.records) == k + 1  # per-class rows plus the SINR row
@@ -167,8 +174,7 @@ def test_scheduled_bound_matches_per_class_oracle(k):
     # each class on its own: its nearest site serves the vertex user, and
     # the class of the site nearest overall gives the SINR record at P = 1
     # and an SNR of 0 dB, where the noise equals l(d)
-    lattice = lattice_factory(A_HEX, 40.0, k)(0)
-    h_k = hardcore_for_reuse(A_HEX, k)
+    lattice, h_k, _, _ = scheduled_args(k, 7)
     user = lattice.window.center
     expected = []
     for mark in range(1, k + 1):
@@ -181,13 +187,13 @@ def test_scheduled_bound_matches_per_class_oracle(k):
         7, serving.d, serving.t,
         theta(LinkBudget(1, signal, serving.d, MODEL), h_k),
         signal / (serving.realized + signal)))
-    report = check_scheduled_bound(A_HEX, k, MODEL, seed=7)
+    report = check_scheduled_bound(lattice, h_k, MODEL, seed=7)
     assert report.records == expected
     assert report.violations == 0
 
 
 def test_scheduled_k1_matches_interference_check():
-    sched = check_scheduled_bound(A_HEX, 1, MODEL, seed=0)
+    sched = check_scheduled_bound(*scheduled_args(1, 0))
     plain = check_interference_bound(lattice_factory(A_HEX, 40.0), 2.0, MODEL,
                                      trials=1, seed=0)
     assert sched.records[0].realized == pytest.approx(
@@ -197,10 +203,33 @@ def test_scheduled_k1_matches_interference_check():
 
 
 def test_vertex_window_centers_on_cell_corner():
-    window = vertex_window(A_HEX, 40.0)
-    center = window.center
+    center = lattice_factory(A_HEX, 40.0).window.center
     # the vertex is equidistant from three lattice sites at distance a
     assert np.hypot(center[0], center[1]) == pytest.approx(A_HEX, rel=1e-12)
+
+
+@pytest.mark.parametrize("check, suite, args", [
+    (check_ball_regulation, ball_regulation_suite,
+     (lattice_factory(A_HEX, 40.0), 2.0, R_GRID, 7, 3)),
+    (check_interference_bound, interference_suite,
+     (matern_factory(0.1, 4.0, Rect(0, 100, 0, 100)), 2.0, MODEL, 7, 3)),
+    (check_scheduled_bound, scheduled_suite, scheduled_args(3, 5)),
+], ids=["ball", "interference", "scheduled"])
+def test_each_check_is_its_suite_run_alone(check, suite, args):
+    assert check(*args) == run_suites([suite(*args)])[0]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_scheduled_check_of_a_lattice_read_back_from_csv(tmp_path, k):
+    # the file holds every coordinate to 17 digits and the marks, so with
+    # the lattice's own window the read-back set gives the same records
+    lattice, h_k, _, _ = scheduled_args(k, 0)
+    pointset.to_csv(lattice, tmp_path / "sites.csv")
+    read = pointset.from_csv(tmp_path / "sites.csv", window=lattice.window)
+    report = check_scheduled_bound(read, h_k, MODEL, seed=0)
+    assert report == check_scheduled_bound(lattice, h_k, MODEL, seed=0)
+    assert report.label == f"scheduled-bound-k{k}"
+    assert report.violations == 0
 
 
 def test_report_csv_format_and_determinism():

@@ -339,11 +339,21 @@ def test_matern_rejects_non_finite_parameters(intensity, radius):
 @pytest.mark.parametrize("window", [Rect(0, 1e200, 0, 1e200),
                                     Rect(-1e308, 1e308, 0, 1)])
 def test_matern_rejects_a_poisson_mean_that_is_not_finite(window):
-    # the mean, not numpy's poisson, says what is wrong; a finite mean above
-    # numpy's limit is left to numpy
+    # the mean, not numpy's poisson, says what is wrong
     with pytest.raises(ValueError,
                        match="intensity 0.1 times area inf, is not finite"):
         next(matern_groups(0.1, 4.0, window, [(1, None)]))
+
+
+def test_matern_rejects_a_poisson_mean_above_2_to_the_62():
+    # numpy's own error for a mean above its limit, about 9.2e18, names
+    # neither the intensity nor the area
+    window = Rect(0, 1e10, 0, 1e10)
+    with pytest.raises(ValueError, match=r"intensity 0\.1 times area "
+                                         r"1\.0000000016e\+20, is above 2\*\*62"):
+        next(matern_groups(0.1, 4.0, window, [(1, None)]))
+    # a finite mean at the limit is accepted; only its draw runs out of memory
+    pointset.check_matern(2.0 ** 62 / window.expand(4.0).area, 4.0, window)
 
 
 @pytest.mark.parametrize("seed", range(4))
