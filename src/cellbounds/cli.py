@@ -12,6 +12,7 @@ analytic request, 3 any Monte Carlo violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -30,6 +31,7 @@ EXIT_VIOLATION = 3
 
 _DEFAULT_A = 4 / math.sqrt(3.0)
 _SUITES = ("ball", "interference", "scheduled", "all")
+_MAX_GRID_POINTS = 10 ** 6
 
 
 class _UsageError(Exception):
@@ -71,6 +73,8 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
     Equal bit for bit to ``np.arange(lo, hi + step / 2, step)``: the same
     length, and numpy's fill rule lo + i*((lo + step) - lo) for i >= 2.
+    A grid of more than ``_MAX_GRID_POINTS`` (10**6) points is a usage
+    error, raised before any point is built.
     """
     if not all(map(math.isfinite, (lo, hi, step))):
         raise _UsageError("grid bounds and step must be finite")
@@ -79,8 +83,9 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     if hi < lo:
         raise _UsageError("grid upper end must not be below the lower end")
     span = (hi + step / 2 - lo) / step
-    if not span <= sys.maxsize:  # also catches hi + step/2 overflowing
-        raise _UsageError(f"grid of {span:.3g} points is too long")
+    if not span <= _MAX_GRID_POINTS:  # also catches hi + step/2 overflowing
+        raise _UsageError(f"grid of {span:.3g} points is too long "
+                          f"(more than {_MAX_GRID_POINTS})")
     length = math.ceil(span)
     if length < 2:
         return [lo][:length]
@@ -205,9 +210,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if total == 0 else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> _Parser:
     """The parser, the only list of each command's options.  Declaration
-    order is the order of the CSV's ``#`` lines."""
+    order is the order of the CSV's ``#`` lines.
+
+    It is built once per process and shared by every caller, so treat it
+    as read-only."""
     parser = _Parser(prog="cellbounds",
                      description="Worst-case interference and rate guarantees "
                                  "for hardcore-regulated cellular downlinks")

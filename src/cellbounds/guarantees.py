@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bounds import interference_bound
 from .pathloss import BoundedPowerLaw
@@ -37,32 +37,34 @@ def _log1p_base(x: float, log_base: str) -> float:
     raise ValueError(f"unknown log base {log_base!r} (use 'nat' or '2')")
 
 
-@dataclass(frozen=True)
-class LinkBudget:
+class LinkBudget(namedtuple("LinkBudget", "power noise distance model")):
     """Transmit power, noise power and serving distance of the studied link."""
 
-    power: float
-    noise: float
-    distance: float
-    model: BoundedPowerLaw
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.power) and self.power > 0):
+    def __new__(cls, power: float, noise: float, distance: float,
+                model: BoundedPowerLaw):
+        if not (math.isfinite(power) and power > 0):
             raise ValueError("transmit power must be positive and finite")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
+        if not (math.isfinite(noise) and noise >= 0):
             raise ValueError("noise power must be positive and finite")
-        if not (math.isfinite(self.distance) and self.distance >= 0):
+        if not (math.isfinite(distance) and distance >= 0):
             raise ValueError(
                 "serving distance must be non-negative and finite")
         # subnormal powers keep too few bits: the rates, which depend only
         # on the SNR and the geometry, would drift with P and the scale
-        signal = self.power * self.model.eval(self.distance)
-        if min(self.power, signal, self.noise) < sys.float_info.min:
+        signal = power * model.eval(distance)
+        if min(power, signal, noise) < sys.float_info.min:
             raise ValueError(
-                f"power {self.power} at distance {self.distance} gives "
+                f"power {power} at distance {distance} gives "
                 f"signal power {signal:.3g} and noise power "
-                f"{self.noise:.3g}; each must be at least "
+                f"{noise:.3g}; each must be at least "
                 f"{sys.float_info.min:.3g}")
+        return super().__new__(cls, power, noise, distance, model)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def snr(self) -> float:

@@ -5,7 +5,6 @@ import hashlib
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,7 +91,8 @@ def test_criterion_3_round_trip_identities():
                 aa, rel=1e-9)
             h_k = h_star * rng.uniform(1.0, 2.0)
             reduced = critical_power(link, h, k, h_k)
-            dialed = replace(link, power=reduced)
+            dialed = LinkBudget(reduced, link.noise, link.distance,
+                                link.model)
             assert rate_scheduled(dialed, k, h_k) == pytest.approx(
                 aa, rel=1e-9)
 

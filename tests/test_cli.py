@@ -79,6 +79,15 @@ def test_grid_equals_numpy_arange(lo, width, step):
                                                  step).tolist()
 
 
+def test_grid_longer_than_the_cap_is_refused_before_it_is_built():
+    cap = cli._MAX_GRID_POINTS
+    for lo, hi, step in ((0.0, float(cap), 1.0),    # one point too many
+                         (0.0, 1e-300, 1e-310)):   # about 1e10 points
+        with pytest.raises(cli._UsageError, match="too long"):
+            cli._grid(lo, hi, step)
+    assert len(cli._grid(0.0, cap - 1.0, 1.0)) == cap
+
+
 def test_bound_compare_rejects_bad_range(tmp_path):
     code, _ = run(tmp_path, "x.csv", "bound-compare", "--t-min", "5",
                   "--t-max", "1")
@@ -267,6 +276,9 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv):
     ("hex-sweep", "--a", "1e78"),
     ("hex-sweep", "--a", "1e160"),
     ("rate-vs-hk", "--d", "1e160"),
+    # 2e6 points, over the cap; at --alpha 2 the bound diverges, so a grid
+    # that got built would fail at its first point with exit code 2
+    ("critical-power", "--alpha", "2", "--hk-step", "1", "--hk-max", "2e6"),
 ])
 def test_bad_grid_or_distance_is_one_line_usage_error(tmp_path, capsys, argv):
     # the 1e-300 step asks for ~6e300 points: refused before any is built
@@ -333,6 +345,25 @@ def test_sweep_csv_bytes_are_pinned(tmp_path, command):
 
 def test_wide_verify_csv_bytes_are_pinned(tmp_path):
     # about 17k points per Matern sample: the most thinning batch cuts
+    code, out = run(tmp_path, "wide.csv", "verify", "--suite", "all",
+                    "--trials", "3", "--window", "400", "--seed", "5")
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_VERIFY_SHA256
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(tmp_path, "neg.csv", "verify", "--trials", "-1")[0] == 1
+    assert cli.main(["--help"]) == 0
+    # repeatable options set once must not stick to the parser
+    for argv in (("bound-compare", "--alpha", "3"),
+                 ("critical-power", "--k", "4")):
+        assert run(tmp_path, "once.csv", *argv)[0] == 0
+    for command in sorted(SWEEP_SHA256):
+        code, out = run(tmp_path, f"{command}.csv", command)
+        assert code == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == SWEEP_SHA256[command])
     code, out = run(tmp_path, "wide.csv", "verify", "--suite", "all",
                     "--trials", "3", "--window", "400", "--seed", "5")
     assert code == 0

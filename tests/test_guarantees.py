@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +54,29 @@ def test_link_budget_validation_and_snr():
                 LinkBudget(*args, BoundedPowerLaw(4))
 
 
+def test_link_budget_is_an_immutable_value():
+    model = BoundedPowerLaw(4)
+    link = LinkBudget(1.0, 0.5, 2.0, model)
+    assert repr(link) == ("LinkBudget(power=1.0, noise=0.5, distance=2.0, "
+                          "model=BoundedPowerLaw(alpha=4.0))")
+    twin = LinkBudget(1.0, 0.5, 2.0, model)
+    assert twin == link and hash(twin) == hash(link)
+    assert LinkBudget(1.0, 0.25, 2.0, model) != link
+    assert len({link, twin}) == 1
+    for name in ("power", "snr", "other"):
+        with pytest.raises(AttributeError):
+            setattr(link, name, 2.0)
+    # each invalid field raises, whichever way the link is made; 1e78 gives
+    # a subnormal signal power, 1e-320 a subnormal power or noise
+    for fields in (dict(power=-1.0), dict(power=1e-320), dict(noise=-1.0),
+                   dict(noise=1e-320), dict(distance=-1.0),
+                   dict(distance=1e78), dict(distance=math.nan)):
+        with pytest.raises(ValueError):
+            LinkBudget(**{**link._asdict(), **fields})
+        with pytest.raises(ValueError):
+            link._replace(**fields)
+
+
 def test_link_at_snr_noise_and_range():
     model = BoundedPowerLaw(4)
     for power, snr_db in ((1.0, 0.0), (2.0, -7.5), (0.5, 12.0)):
@@ -97,8 +119,8 @@ def test_theta_strictly_increasing_in_h_and_power():
     link = reference_link()
     values = [theta(link, h) for h in np.linspace(1.0, 12.0, 30)]
     assert all(x < y for x, y in zip(values, values[1:]))
-    powers = [theta(replace(link, power=p), 2.0)
-              for p in np.linspace(0.2, 3.0, 15)]
+    powers = [theta(LinkBudget(p, link.noise, link.distance, link.model),
+                    2.0) for p in np.linspace(0.2, 3.0, 15)]
     assert all(x < y for x, y in zip(powers, powers[1:]))
 
 
@@ -232,7 +254,8 @@ def test_critical_power_round_trip():
             h_k = 1.3 * h_star
             reduced = critical_power(link, h, k, h_k)
             assert reduced <= link.power
-            dialed = replace(link, power=reduced)
+            dialed = LinkBudget(reduced, link.noise, link.distance,
+                                link.model)
             assert rate_scheduled(dialed, k, h_k) == pytest.approx(
                 rate_always_active(link, h), rel=1e-9)
 

@@ -1,5 +1,6 @@
-"""Each CLI command loads only the numpy modules it runs, and the package
-runs without scipy.
+"""Each CLI command loads only the numpy modules it runs, the sweeps load
+no ``dataclasses`` or ``inspect`` either, and the package runs without
+scipy.
 
 The checks run in a fresh interpreter, since the test modules themselves
 import numpy and scipy.  That interpreter first makes scipy unimportable
@@ -18,6 +19,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# the modules slow to import: numpy and scipy, and dataclasses with the
+# inspect it loads (about 20 ms of a fresh sweep process)
 _SCRIPT = """
 import json, sys
 sys.modules["scipy"] = None
@@ -27,13 +30,14 @@ for argv in json.loads(sys.argv[2]):
     assert cellbounds.cli.main(argv) == 0, argv
 print(json.dumps(sorted(m for m, module in sys.modules.items()
                         if module is not None
-                        and m.split(".")[0] in ("numpy", "scipy"))))
+                        and m.split(".")[0] in ("numpy", "scipy",
+                                                "dataclasses", "inspect"))))
 """
 
 
-def numeric_modules_after(*commands):
-    """Names of the numpy and scipy modules loaded after running
-    ``commands`` in turn."""
+def heavy_modules_after(*commands):
+    """Names of the numpy, scipy, dataclasses and inspect modules loaded
+    after running ``commands`` in turn."""
     done = subprocess.run(
         [sys.executable, "-c", _SCRIPT, str(SRC), json.dumps(commands)],
         capture_output=True, text=True, timeout=120, check=True)
@@ -41,15 +45,16 @@ def numeric_modules_after(*commands):
 
 
 def test_sweeps_load_no_scipy(tmp_path):
-    # nor numpy: the analytic path computes on Python floats
+    # nor numpy: the analytic path computes on Python floats; nor
+    # dataclasses and inspect
     commands = [[name, "--out", str(tmp_path / f"{name}.csv")]
                 for name in ("bound-compare", "rate-vs-hk", "critical-power",
                              "hex-sweep")]
-    assert numeric_modules_after(*commands) == set()
+    assert heavy_modules_after(*commands) == set()
 
 
 def test_verify_loads_no_scipy(tmp_path):
-    loaded = numeric_modules_after(
+    loaded = heavy_modules_after(
         ["verify", "--trials", "1", "--out", str(tmp_path / "v.csv")])
     assert "numpy" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
