@@ -23,8 +23,8 @@ _NAMES = {
     **dict.fromkeys(
         ("ConfigurationError", "TrialRecord", "VerificationReport",
          "check_ball_regulation", "check_interference_bound",
-         "check_scheduled_bound", "lattice_factory", "matern_factory",
-         "point_set_factory"), "montecarlo"),
+         "check_scheduled_bound", "lattice_factory", "matern_factory"),
+        "montecarlo"),
     **dict.fromkeys(
         ("MarkedPointSet", "Rect", "ball_count", "color_lattice", "from_csv",
          "gen_matern_ii", "gen_triangular_lattice", "nearest_index", "to_csv",

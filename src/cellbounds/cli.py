@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 
@@ -57,15 +58,15 @@ def _fmt(value) -> str:
 
 def _write_csv(args, header: list[str], rows, footer: list[str] = ()) -> None:
     """Write the CSV to ``args.out`` (default stdout).  It opens with one
-    ``#`` line per set option, in declaration order, after the command."""
-    lines = [f"# command = {args.subcommand}"]
-    lines.extend(f"# {key} = {_fmt(val)}" for key, val in vars(args).items()
-                 if key not in ("subcommand", "out", "func")
-                 and val is not None)
-    lines.append(",".join(header))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    lines.extend(f"# {note}" for note in footer)
-    write_lines(args.out or sys.stdout, lines)
+    ``#`` line per set option, in declaration order, after the command.
+    The lines are written as they are formatted."""
+    write_lines(args.out or sys.stdout, itertools.chain(
+        [f"# command = {args.subcommand}"],
+        (f"# {key} = {_fmt(val)}" for key, val in vars(args).items()
+         if key not in ("subcommand", "out", "func") and val is not None),
+        [",".join(header)],
+        (",".join(map(_fmt, row)) for row in rows),
+        (f"# {note}" for note in footer)))
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -189,7 +190,7 @@ def cmd_verify(args) -> int:
         suites.append(interference_suite(matern, h, model,
                                           args.trials, args.seed + 2))
     if args.suite in ("scheduled", "all") and args.trials > 0:
-        suites += [scheduled_suite(color_lattice(lattice(args.seed), k),
+        suites += [scheduled_suite(color_lattice(lattice, k),
                                    hardcore_for_reuse(args.a, k), model,
                                    args.seed) for k in REUSE]
     reports = run_suites(suites)

@@ -27,7 +27,7 @@ from .hexnet import hardcore_for_reuse
 from .pathloss import BoundedPowerLaw
 from .pointset import (MarkedPointSet, Rect, SampleGroup, check_matern,
                        color_lattice, gen_matern_ii, gen_triangular_lattice,
-                       matern_groups, nearest_index, tiled_groups)
+                       matern_groups, nearest_index)
 
 VIOLATION_REL_TOL = 1e-12
 
@@ -92,12 +92,13 @@ def trial_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-# A configuration source for the checks below is a factory ``make``:
-# ``make(seed)`` is the sample of one seed, ``make.window`` the window its
-# points lie in, and ``make.groups(draws)`` yields the samples of the
-# ``(seed, near)`` pairs of ``draws`` as SampleGroups, in order.  ``near``
-# is None or ``(center, reach)``; a source may then leave out the points
-# farther than ``reach`` from ``center`` in the max norm.
+# A source of configurations for the checks below has a ``window`` its
+# points lie in, ``groups(draws)``, which yields the samples of the
+# ``(seed, near)`` pairs of ``draws`` as SampleGroups, in order, and
+# ``source(seed)``, the sample of one seed.  ``near`` is None or
+# ``(center, reach)``; a source may then leave out the points farther than
+# ``reach`` from ``center`` in the max norm.  A MarkedPointSet is a source,
+# the same sample for every seed, and matern_factory returns the other.
 
 def matern_factory(intensity: float, hardcore_radius: float, window: Rect):
     """Source of Matern type-II samples on the window.
@@ -114,27 +115,12 @@ def matern_factory(intensity: float, hardcore_radius: float, window: Rect):
     return make
 
 
-def point_set_factory(ps: MarkedPointSet):
-    """Source of one fixed point set, such as a lattice or one read by
-    :func:`cellbounds.pointset.from_csv`, the same for every seed.
-
-    Its groups hold a whole copy of the set per draw (see
-    :func:`cellbounds.pointset.tiled_groups`).
-    """
-    def make(seed: int) -> MarkedPointSet:
-        return ps
-    make.window = ps.window
-    make.groups = partial(tiled_groups, ps.points)
-    return make
-
-
 def lattice_factory(a: float, half_width: float, k: int = 1):
-    """Source of the reuse-k colored lattice with edge a on the square
-    window of the given half-width centered on a cell vertex."""
+    """The reuse-k colored lattice with edge a on the square window of the
+    given half-width centered on a cell vertex."""
     s = 2 * hardcore_for_reuse(a, 1)  # the site spacing is 2 h_1
     window = Rect.square((0.5 * s, s * math.sqrt(3.0) / 6), half_width)
-    return point_set_factory(
-        color_lattice(gen_triangular_lattice(a, window), k))
+    return color_lattice(gen_triangular_lattice(a, window), k)
 
 
 def _ball_center(inner: Rect, seed: int, index: int):
@@ -195,37 +181,37 @@ def _run_shard(suites: list[Suite], shard: range):
     return done, None
 
 
-def ball_regulation_suite(factory, h: float, r_grid, trials: int,
+def ball_regulation_suite(source, h: float, r_grid, trials: int,
                           seed: int) -> Suite:
     """Counts in random balls never exceed 1 + rho_h R + nu_h R^2.
 
     Ball centers are drawn uniformly over the window shrunk by max(R), so
-    each checked ball lies fully inside the window.  The factory is a
-    source (see :func:`matern_factory`), asked only for the points within
-    max(R) of each center, and the balls of a group of its samples are
-    counted in one pass.
+    each checked ball lies fully inside the window.  The source (see
+    :func:`matern_factory`) is asked only for the points within max(R) of
+    each center, and the balls of a group of its samples are counted in
+    one pass.
     """
     r_grid = [float(r) for r in r_grid]
     if not r_grid or min(r_grid) < 0:
         raise ConfigurationError("need a non-empty grid of non-negative radii")
     bounds = [ball_count_bound(h, r) for r in r_grid]
     return Suite("ball-regulation", trials,
-                 partial(_ball_records, factory, r_grid, bounds, seed))
+                 partial(_ball_records, source, r_grid, bounds, seed))
 
 
-def _ball_records(factory, r_grid: list[float], bounds: list[float],
+def _ball_records(source, r_grid: list[float], bounds: list[float],
                   seed: int, trials: range):
     r_max = max(r_grid)
     try:
-        inner = factory.window.shrink(r_max)
+        inner = source.window.shrink(r_max)
     except ValueError:
         raise ConfigurationError(
-            f"window {factory.window} cannot contain balls of radius {r_max}"
+            f"window {source.window} cannot contain balls of radius {r_max}"
         ) from None
     seeds = [trial_seed(seed, i) for i in trials]
     centers = [_ball_center(inner, seed, i) for i in trials]
     counts = []
-    for group in factory.groups(
+    for group in source.groups(
             (tseed, (center, r_max)) for tseed, center in zip(seeds, centers)):
         counts += group.ball_counts(
             centers[len(counts):len(counts) + len(group)], r_grid)
@@ -235,14 +221,14 @@ def _ball_records(factory, r_grid: list[float], bounds: list[float],
     return records, 0
 
 
-def check_ball_regulation(factory, h: float, r_grid, trials: int,
+def check_ball_regulation(source, h: float, r_grid, trials: int,
                           seed: int) -> VerificationReport:
     """The report of :func:`ball_regulation_suite` run alone."""
-    return run_suites([ball_regulation_suite(factory, h, r_grid, trials,
+    return run_suites([ball_regulation_suite(source, h, r_grid, trials,
                                              seed)])[0]
 
 
-def interference_suite(factory, h: float, model: BoundedPowerLaw,
+def interference_suite(source, h: float, model: BoundedPowerLaw,
                        trials: int, seed: int) -> Suite:
     """Realized interference at the window center never exceeds the bound.
 
@@ -251,8 +237,9 @@ def interference_suite(factory, h: float, model: BoundedPowerLaw,
     over all other points is checked against interference_bound(l, h, d).
     Empty samples are skipped and counted.
     """
+    interference_bound(model, h, h)  # a divergent model raises before a trial
     return Suite("interference-bound", trials,
-                 partial(_interference_records, factory, h, model, seed))
+                 partial(_interference_records, source, h, model, seed))
 
 
 def _interference(group: SampleGroup, receivers, alpha: float) -> list:
@@ -269,12 +256,12 @@ def _interference(group: SampleGroup, receivers, alpha: float) -> list:
     return found
 
 
-def _interference_records(factory, h: float, model: BoundedPowerLaw,
+def _interference_records(source, h: float, model: BoundedPowerLaw,
                           seed: int, trials: range):
     seeds = [trial_seed(seed, i) for i in trials]
-    user = factory.window.center
+    user = source.window.center
     found = []
-    for group in factory.groups((tseed, None) for tseed in seeds):
+    for group in source.groups((tseed, None) for tseed in seeds):
         found += _interference(group, [user] * len(group), model.alpha)
     records = [_interference_record(tseed, model, h, *hit)
                for tseed, hit in zip(seeds, found) if hit is not None]
@@ -287,10 +274,10 @@ def _interference_record(seed: int, model: BoundedPowerLaw, h: float,
                        interference_bound(model, h, d))
 
 
-def check_interference_bound(factory, h: float, model: BoundedPowerLaw,
+def check_interference_bound(source, h: float, model: BoundedPowerLaw,
                              trials: int, seed: int) -> VerificationReport:
     """The report of :func:`interference_suite` run alone."""
-    return run_suites([interference_suite(factory, h, model, trials,
+    return run_suites([interference_suite(source, h, model, trials,
                                           seed)])[0]
 
 
@@ -309,6 +296,7 @@ def scheduled_suite(lattice: MarkedPointSet, h_k: float,
     `realized` holds the guaranteed SINR and `bound` the achieved one,
     keeping ratio <= 1 on success.
     """
+    interference_bound(model, h_k, h_k)  # a divergent model raises here
     return Suite(f"scheduled-bound-k{lattice.num_marks}", 1,
                  partial(_scheduled_records, lattice, h_k, model, seed))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -127,6 +128,20 @@ class MarkedPointSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def __call__(self, seed: int) -> "MarkedPointSet":
+        """The sample of any seed: a fixed set is its own."""
+        return self
+
+    def groups(self, draws: Iterable) -> Iterator["SampleGroup"]:
+        """One copy of the set per draw, grouped by :func:`_grouped`.
+
+        A fixed set is the same sample whatever the draw, so ``draws`` is
+        only counted.
+        """
+        for batch in _grouped(draws, lambda draw: len(self)):
+            yield SampleGroup.of(np.tile(self.points, (len(batch), 1)),
+                                 [len(self)] * len(batch))
 
 
 def gen_triangular_lattice(a: float, window: Rect) -> MarkedPointSet:
@@ -279,17 +294,6 @@ def _grouped(samples: Iterable, size) -> Iterator[list]:
         yield batch
 
 
-def tiled_groups(points: np.ndarray, draws: Iterable) -> Iterator[SampleGroup]:
-    """One copy of ``points`` per draw, grouped by :func:`_grouped`.
-
-    A fixed point set is the same sample whatever the draw, so ``draws``
-    is only counted.
-    """
-    for batch in _grouped(draws, lambda draw: len(points)):
-        yield SampleGroup.of(np.tile(points, (len(batch), 1)),
-                             [len(points)] * len(batch))
-
-
 def matern_groups(intensity: float, hardcore_radius: float, window: Rect,
                   draws: Iterable) -> Iterator[SampleGroup]:
     """Matern type-II samples (see :func:`gen_matern_ii`), a group at a time.
@@ -398,10 +402,8 @@ def ball_count(ps: MarkedPointSet, center, radius: float) -> int:
 
 def to_csv(ps: MarkedPointSet, path_or_file) -> None:
     """Write the point set as CSV with header ``x,y,mark``."""
-    lines = ["x,y,mark"]
-    for (x, y), m in zip(ps.points, ps.marks):
-        lines.append(f"{x:.17g},{y:.17g},{m}")
-    write_lines(path_or_file, lines)
+    write_lines(path_or_file, itertools.chain(["x,y,mark"], (
+        f"{x:.17g},{y:.17g},{m}" for (x, y), m in zip(ps.points, ps.marks))))
 
 
 def from_csv(path_or_file, window: Rect | None = None) -> MarkedPointSet:

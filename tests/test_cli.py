@@ -27,6 +27,9 @@ SWEEP_SHA256 = {
 # sha256 of verify --suite all --trials 3 --window 400 --seed 5
 WIDE_VERIFY_SHA256 = (
     "7c68152e18da376ffc491e9217567ab061270866cf2c3cddff68d6a792b412bb")
+# sha256 of verify --suite all --trials 100 --seed 7
+SEED7_VERIFY_SHA256 = (
+    "9771851d1fd911699caa25e57a91bfe20bdf6161e9c94970f476958c5ab31470")
 
 
 def run(tmp_path, name, *argv):
@@ -351,6 +354,34 @@ def test_wide_verify_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_VERIFY_SHA256
 
 
+def test_seed_7_verify_csv_bytes_are_pinned(tmp_path):
+    code, out = run(tmp_path, "seed7.csv", "verify", "--suite", "all",
+                    "--trials", "100", "--seed", "7")
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED7_VERIFY_SHA256
+
+
+def test_csv_is_written_as_it_is_formatted(tmp_path):
+    # 10**5 rows format to about 3 MB of text; written as they are
+    # formatted, no more than one write's chunk of lines is held at once
+    import tracemalloc
+    rows = [(0.1 * i, 2.5, 1.0 / (i + 1), 3.0 / (i + 7))
+            for i in range(10 ** 5)]
+    args = argparse.Namespace(subcommand="demo", alpha=[2.5],
+                              out=str(tmp_path / "rows.csv"))
+    tracemalloc.start()
+    try:
+        cli._write_csv(args, ["t", "alpha", "new_bound", "legacy_bound"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    lines = (tmp_path / "rows.csv").read_text().splitlines()
+    assert lines[:3] == ["# command = demo", "# alpha = 2.5",
+                         "t,alpha,new_bound,legacy_bound"]
+    assert lines[3:] == [",".join(map(cli._fmt, row)) for row in rows]
+
+
 def test_shared_parser_carries_nothing_between_calls(tmp_path):
     assert cli.build_parser() is cli.build_parser()
     assert run(tmp_path, "neg.csv", "verify", "--trials", "-1")[0] == 1
@@ -385,6 +416,29 @@ def test_verify_unknown_suite_is_usage_error(tmp_path):
 def test_divergent_exponent_is_infeasible_request(tmp_path):
     code, _ = run(tmp_path, "x.csv", "rate-vs-hk", "--alpha", "2")
     assert code == 2
+
+
+def test_verify_refuses_a_divergent_exponent_before_any_trial(
+        tmp_path, monkeypatch, capsys):
+    # the suites are built before they run, so the run must never start
+    from cellbounds import montecarlo
+
+    def never(suites):
+        raise AssertionError("the suites ran")
+    monkeypatch.setattr(montecarlo, "run_suites", never)
+    for argv in (("--trials", "1000000"), ("--trials", "0"),
+                 ("--suite", "interference"), ("--suite", "scheduled")):
+        code, out = run(tmp_path, "x.csv", "verify", "--alpha", "2", *argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+    monkeypatch.undo()
+    # the ball suite alone has no interference bound to diverge
+    code, _ = run(tmp_path, "ball.csv", "verify", "--suite", "ball",
+                  "--alpha", "2", "--trials", "3")
+    assert code == 0
 
 
 def test_help_exits_cleanly():

@@ -129,7 +129,7 @@ def test_readme_snippets_run_without_scipy(tmp_path):
     # each python block of README certifies the sites.csv it reads: a
     # reuse-3 lattice, written as a user's layout would be
     from cellbounds import lattice_factory, to_csv
-    to_csv(lattice_factory(4 / math.sqrt(3.0), 40.0, 3)(0),
+    to_csv(lattice_factory(4 / math.sqrt(3.0), 40.0, 3),
            tmp_path / "sites.csv")
     readme = (SRC.parent / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)

@@ -17,25 +17,26 @@ from cellbounds.montecarlo import (ConfigurationError, TrialRecord,
                                    check_interference_bound,
                                    check_scheduled_bound, interference_suite,
                                    lattice_factory, matern_factory,
-                                   point_set_factory, run_suites,
-                                   scheduled_suite, trial_seed)
+                                   run_suites, scheduled_suite, trial_seed)
 from cellbounds.pathloss import BoundedPowerLaw
-from cellbounds.pointset import MarkedPointSet, Rect, ball_count, nearest_index
+from cellbounds.pointset import (MarkedPointSet, Rect, ball_count,
+                                 color_lattice, gen_triangular_lattice,
+                                 nearest_index)
 
 A_HEX = 4 / math.sqrt(3.0)
 MODEL = BoundedPowerLaw(4)
 R_GRID = [2.0, 4.0, 8.0, 16.0]
 
 
-def ball_oracle(factory, h, seed, trials):
+def ball_oracle(source, h, seed, trials):
     """The ball suite's records and skipped count over ``trials``, each
-    trial counted on the factory's whole sample of its seed."""
+    trial counted on the source's whole sample of its seed."""
     bounds = [ball_count_bound(h, r) for r in R_GRID]
-    inner = factory.window.shrink(max(R_GRID))
+    inner = source.window.shrink(max(R_GRID))
     records = []
     for i in trials:
         tseed = trial_seed(seed, i)
-        ps = factory(tseed)
+        ps = source(tseed)
         center = _ball_center(inner, seed, i)
         records += [TrialRecord(tseed, r, r, float(ball_count(ps, center, r)),
                                 bound) for r, bound in zip(R_GRID, bounds)]
@@ -52,10 +53,10 @@ def interference_record(seed, ps, receiver, h):
                        interference_bound(MODEL, h, d))
 
 
-def interference_oracle(factory, h, seed, trials):
+def interference_oracle(source, h, seed, trials):
     """The interference suite's records and skipped count over ``trials``,
-    each trial on the factory's whole sample of its seed."""
-    samples = [(tseed, factory(tseed))
+    each trial on the source's whole sample of its seed."""
+    samples = [(tseed, source(tseed))
                for tseed in (trial_seed(seed, i) for i in trials)]
     return ([interference_record(tseed, ps, ps.window.center, h)
              for tseed, ps in samples if len(ps)],
@@ -89,9 +90,9 @@ def test_matern_ball_regulation_clean():
 
 
 def test_single_point_ball_regulation_trivial():
-    factory = point_set_factory(MarkedPointSet(
-        np.array([[50.0, 50.0]]), np.array([1]), Rect(0, 100, 0, 100)))
-    report = check_ball_regulation(factory, 2.0, R_GRID, trials=5, seed=1)
+    ps = MarkedPointSet(np.array([[50.0, 50.0]]), np.array([1]),
+                        Rect(0, 100, 0, 100))
+    report = check_ball_regulation(ps, 2.0, R_GRID, trials=5, seed=1)
     assert report.violations == 0
 
 
@@ -109,12 +110,12 @@ def test_lattice_interference_at_vertex():
 def test_readme_csv_configuration_is_certified(tmp_path, monkeypatch):
     # README's path for an outside configuration, from a file on disk
     import cellbounds
-    pointset.to_csv(lattice_factory(A_HEX, 40.0)(0), tmp_path / "sites.csv")
+    pointset.to_csv(lattice_factory(A_HEX, 40.0), tmp_path / "sites.csv")
     monkeypatch.chdir(tmp_path)
-    source = cellbounds.point_set_factory(cellbounds.from_csv("sites.csv"))
-    report = cellbounds.check_interference_bound(source, 2.0,
-                                                 BoundedPowerLaw(4),
-                                                 trials=1, seed=0)
+    # a point set read from a file is a source as it stands
+    report = cellbounds.check_interference_bound(
+        cellbounds.from_csv("sites.csv"), 2.0, BoundedPowerLaw(4), trials=1,
+        seed=0)
     assert report.violations == 0
     assert len(report.records) == 1
 
@@ -130,9 +131,9 @@ def test_matern_interference_clean_and_reproducible():
 
 
 def test_single_point_interference_is_zero():
-    factory = point_set_factory(MarkedPointSet(
-        np.array([[49.0, 52.0]]), np.array([1]), Rect(0, 100, 0, 100)))
-    report = check_interference_bound(factory, 2.0, MODEL, trials=1, seed=0)
+    ps = MarkedPointSet(np.array([[49.0, 52.0]]), np.array([1]),
+                        Rect(0, 100, 0, 100))
+    report = check_interference_bound(ps, 2.0, MODEL, trials=1, seed=0)
     (rec,) = report.records
     assert rec.realized == 0.0
     assert report.violations == 0
@@ -157,7 +158,7 @@ def test_interference_negative_control():
 def scheduled_args(k, seed):
     """The arguments of the scheduled check on the reuse-k lattice of
     ``verify``'s defaults."""
-    return (lattice_factory(A_HEX, 40.0, k)(seed), hardcore_for_reuse(A_HEX, k),
+    return (lattice_factory(A_HEX, 40.0, k), hardcore_for_reuse(A_HEX, k),
             MODEL, seed)
 
 
@@ -200,6 +201,22 @@ def test_scheduled_k1_matches_interference_check():
         plain.records[0].realized, rel=1e-12)
     assert sched.records[0].bound == pytest.approx(
         plain.records[0].bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", sorted(REUSE))
+def test_lattice_factory_is_the_colored_lattice(k):
+    s = 2 * hardcore_for_reuse(A_HEX, 1)
+    window = Rect.square((0.5 * s, s * math.sqrt(3.0) / 6), 40.0)
+    expected = color_lattice(gen_triangular_lattice(A_HEX, window), k)
+    lattice = lattice_factory(A_HEX, 40.0, k)
+    assert isinstance(lattice, MarkedPointSet)
+    assert lattice.window == expected.window == window
+    assert lattice.num_marks == k
+    assert np.array_equal(lattice.points, expected.points)
+    assert np.array_equal(lattice.marks, expected.marks)
+    assert np.array_equal(lattice.lattice_ij, expected.lattice_ij)
+    # a point set is a source whose sample is itself for every seed
+    assert all(lattice(seed) is lattice for seed in (0, 1, 42, 2 ** 63))
 
 
 def test_vertex_window_centers_on_cell_corner():

@@ -13,7 +13,7 @@ from cellbounds.pointset import (MarkedPointSet, Rect, SampleGroup,
                                  ball_count, color_lattice, from_csv,
                                  gen_matern_ii, gen_triangular_lattice,
                                  matern_groups, nearest_index, sq_dists,
-                                 tiled_groups, to_csv, verify_hardcore)
+                                 to_csv, verify_hardcore)
 
 A_HEX = 4 / math.sqrt(3.0)  # hexagon edge giving inter-site distance 4
 
@@ -246,7 +246,7 @@ def test_ball_counts_match_pointwise_reference(monkeypatch):
     for budget, sizes in ((pointset.GROUP_POINTS, [3]),
                           (2 * len(lattice), [2, 1]), (1, [1, 1, 1])):
         monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
-        groups = list(tiled_groups(lattice.points, centers))
+        groups = list(lattice.groups(centers))
         assert [len(group) for group in groups] == sizes
         counts = []
         for group in groups:
@@ -255,7 +255,7 @@ def test_ball_counts_match_pointwise_reference(monkeypatch):
         assert counts == expected
         assert groups[0].ball_counts(centers[:len(groups[0])], []) == (
             [[]] * len(groups[0]))
-    assert list(tiled_groups(lattice.points, [])) == []
+    assert list(lattice.groups([])) == []
     with pytest.raises(ValueError):
         groups[0].ball_counts(centers[:1], [2.0, -1.0])
     with pytest.raises(ValueError):
@@ -315,6 +315,26 @@ def test_csv_round_trip():
     text = buf.getvalue()
     assert text.splitlines()[0] == "x,y,mark"
     back = from_csv(io.StringIO(text), window=window)
+    assert np.array_equal(back.points, ps.points)
+    assert np.array_equal(back.marks, ps.marks)
+
+
+def test_to_csv_writes_its_lines_as_it_formats_them(tmp_path):
+    # 30,000 points make about 1 MB of text; no more than one write's chunk
+    # of lines is held at once
+    import tracemalloc
+    rng = np.random.default_rng(3)
+    window = Rect(0, 1000, 0, 1000)
+    ps = MarkedPointSet(rng.uniform(0, 1000, (30000, 2)),
+                        rng.integers(1, 4, 30000), window, num_marks=3)
+    tracemalloc.start()
+    try:
+        to_csv(ps, tmp_path / "sites.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    back = from_csv(tmp_path / "sites.csv", window=window)
     assert np.array_equal(back.points, ps.points)
     assert np.array_equal(back.marks, ps.marks)
 
@@ -421,7 +441,7 @@ def test_groups_close_at_the_first_sample_reaching_the_budget(monkeypatch):
     # a budget of 1.5 lattices: each group of copies closes at its second
     lattice = gen_triangular_lattice(A_HEX, Rect(-20, 20, -20, 20))
     monkeypatch.setattr(pointset, "GROUP_POINTS", 3 * len(lattice) // 2)
-    groups = list(tiled_groups(lattice.points, range(5)))
+    groups = list(lattice.groups(range(5)))
     assert [len(group) for group in groups] == [2, 2, 1]
     # full Matern samples, grouped by the Poisson points each draws
     window = Rect(0, 60, 0, 60)
