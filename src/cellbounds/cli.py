@@ -189,10 +189,11 @@ def cmd_verify(args) -> int:
                                          min(args.trials, 1), args.seed))
         suites.append(interference_suite(matern, h, model,
                                           args.trials, args.seed + 2))
-    if args.suite in ("scheduled", "all") and args.trials > 0:
-        suites += [scheduled_suite(color_lattice(lattice, k),
-                                   hardcore_for_reuse(args.a, k), model,
-                                   args.seed) for k in REUSE]
+    if args.suite in ("scheduled", "all"):  # building checks the model
+        scheduled = [scheduled_suite(color_lattice(lattice, k),
+                                     hardcore_for_reuse(args.a, k), model,
+                                     args.seed) for k in REUSE]
+        suites += scheduled if args.trials > 0 else []
     reports = run_suites(suites)
     # a suite that ran trials but kept no record certified nothing
     for i, rep in enumerate(reports, 1):

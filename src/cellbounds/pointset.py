@@ -19,7 +19,6 @@ three orders of magnitude below any tolerance asserted elsewhere.
 from __future__ import annotations
 
 import dataclasses
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import kernels
-from ._textio import is_path, write_lines
+from ._textio import opened, write_lines
 from .hexnet import hardcore_for_reuse, reuse
 
 _REL_SLACK = 1e-12
@@ -407,22 +406,20 @@ def to_csv(ps: MarkedPointSet, path_or_file) -> None:
 
 
 def from_csv(path_or_file, window: Rect | None = None) -> MarkedPointSet:
-    """Read a point set written by :func:`to_csv`.
+    """Read a point set written by :func:`to_csv`, a line at a time.
 
     Without an explicit window the bounding box of the points is used,
     which requires a non-empty file; a side of width 0 is widened.  A row
     must hold three numbers, and ``num_marks`` is the largest mark.
     """
-    if is_path(path_or_file):
-        with open(path_or_file) as fh:
-            content = fh.read()
-    else:
-        content = path_or_file.read()
-    rows = [ln for ln in content.splitlines() if ln and not ln.startswith("#")]
-    if not rows or rows[0].strip() != "x,y,mark":
-        raise ValueError("expected CSV with header 'x,y,mark'")
-    data = np.loadtxt(io.StringIO("\n".join(rows[1:])), delimiter=",",
-                      ndmin=2) if len(rows) > 1 else np.zeros((0, 3))
+    with opened(path_or_file) as fh:
+        rows = (ln for line in fh for ln in line.splitlines()
+                if ln and ln[0] != "#")
+        if next(rows, "").strip() != "x,y,mark":
+            raise ValueError("expected CSV with header 'x,y,mark'")
+        first = next(rows, None)
+        data = np.zeros((0, 3)) if first is None else np.loadtxt(
+            itertools.chain([first], rows), delimiter=",", ndmin=2)
     if data.shape[1] != 3:
         raise ValueError("expected three columns x,y,mark in every row")
     pts, marks = data[:, :2], data[:, 2]

@@ -30,6 +30,9 @@ WIDE_VERIFY_SHA256 = (
 # sha256 of verify --suite all --trials 100 --seed 7
 SEED7_VERIFY_SHA256 = (
     "9771851d1fd911699caa25e57a91bfe20bdf6161e9c94970f476958c5ab31470")
+# sha256 of verify --trials 0: the four empty summaries and no scheduled one
+VERIFY0_SHA256 = (
+    "fd90f9d4fe4d2b04fc2cfb95bec3a3fa16c6e8881bea3ac6556f633972fea565")
 
 
 def run(tmp_path, name, *argv):
@@ -361,6 +364,12 @@ def test_seed_7_verify_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED7_VERIFY_SHA256
 
 
+def test_zero_trial_verify_csv_bytes_are_pinned(tmp_path):
+    code, out = run(tmp_path, "zero.csv", "verify", "--trials", "0")
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY0_SHA256
+
+
 def test_csv_is_written_as_it_is_formatted(tmp_path):
     # 10**5 rows format to about 3 MB of text; written as they are
     # formatted, no more than one write's chunk of lines is held at once
@@ -427,7 +436,8 @@ def test_verify_refuses_a_divergent_exponent_before_any_trial(
         raise AssertionError("the suites ran")
     monkeypatch.setattr(montecarlo, "run_suites", never)
     for argv in (("--trials", "1000000"), ("--trials", "0"),
-                 ("--suite", "interference"), ("--suite", "scheduled")):
+                 ("--suite", "interference"), ("--suite", "scheduled"),
+                 ("--suite", "scheduled", "--trials", "0")):
         code, out = run(tmp_path, "x.csv", "verify", "--alpha", "2", *argv)
         captured = capsys.readouterr()
         assert code == 2
