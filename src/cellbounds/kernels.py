@@ -4,8 +4,7 @@ Neighbour searches run on a grid of square cells in numpy alone (see
 :func:`_close_pairs`).  Every distance that decides a result is computed
 from the coordinates as ``dx*dx + dy*dy``, so masks and minima equal
 those of the direct O(n^2) rule bit for bit.  Power-law sums take squared
-distances from the receiver, as :func:`cellbounds.pointset.sq_dists`
-computes them.
+distances from the receiver, as :func:`sq_dists` computes them.
 
 :func:`matern_keep_mask` thins several independent samples in one call
 when each point carries the label of its sample: the label is part of the
@@ -65,10 +64,13 @@ def _points(points) -> np.ndarray:
     return np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 2)
 
 
-def _sq_dist(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``dx*dx + dy*dy`` between the points ``i`` and ``j``."""
-    d = pts.take(i, axis=0)
-    d -= pts.take(j, axis=0)
+def sq_dists(points: np.ndarray, others) -> np.ndarray:
+    """``dx*dx + dy*dy`` from each row of ``points`` to the same row of
+    ``others``, or to the one point ``others``.
+
+    The values equal ``((points - others) ** 2).sum(axis=1)`` bit for bit.
+    """
+    d = np.subtract(points, others)
     d *= d
     return d[:, 0] + d[:, 1]
 
@@ -163,9 +165,9 @@ def _close_pairs(pts: np.ndarray, radius: float, cloud: np.ndarray):
             j = np.arange(i.shape[0])
             j -= skew.repeat(count)
             j = order.take(j)
-            close = _sq_dist(pts, i, j) < radius * radius
-            i, j = i.compress(close), j.compress(close)
-            yield i, j
+            close = sq_dists(pts.take(i, axis=0),
+                             pts.take(j, axis=0)) < radius * radius
+            yield i.compress(close), j.compress(close)
 
 
 def _batch_cuts(length: np.ndarray):
@@ -233,7 +235,8 @@ def min_same_mark_sq_dist(points, marks) -> float:
     found = math.inf
     while found == math.inf:
         for i, j in _close_pairs(pts, radius, label.reshape(-1)):
-            found = float(_sq_dist(pts, i, j).min(initial=found))
+            d2 = sq_dists(pts.take(i, axis=0), pts.take(j, axis=0))
+            found = float(d2.min(initial=found))
         if radius == math.inf:  # every squared distance overflows
             break
         radius *= 2

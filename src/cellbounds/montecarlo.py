@@ -194,20 +194,19 @@ def ball_regulation_suite(source, h: float, r_grid, trials: int,
     r_grid = [float(r) for r in r_grid]
     if not r_grid or min(r_grid) < 0:
         raise ConfigurationError("need a non-empty grid of non-negative radii")
+    try:  # checked at any trial count, zero included
+        inner = source.window.shrink(max(r_grid))
+    except ValueError:
+        raise ConfigurationError(f"window {source.window} cannot contain "
+                                 f"balls of radius {max(r_grid)}") from None
     bounds = [ball_count_bound(h, r) for r in r_grid]
     return Suite("ball-regulation", trials,
-                 partial(_ball_records, source, r_grid, bounds, seed))
+                 partial(_ball_records, source, inner, r_grid, bounds, seed))
 
 
-def _ball_records(source, r_grid: list[float], bounds: list[float],
-                  seed: int, trials: range):
+def _ball_records(source, inner: Rect, r_grid: list[float],
+                  bounds: list[float], seed: int, trials: range):
     r_max = max(r_grid)
-    try:
-        inner = source.window.shrink(r_max)
-    except ValueError:
-        raise ConfigurationError(
-            f"window {source.window} cannot contain balls of radius {r_max}"
-        ) from None
     seeds = [trial_seed(seed, i) for i in trials]
     centers = [_ball_center(inner, seed, i) for i in trials]
     counts = []

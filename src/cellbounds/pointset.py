@@ -40,6 +40,9 @@ _REACH_SLACK = 1e-9
 # 16,000 made `verify` faster still, but added 2.3 MB to its peak memory
 # where this one adds about 1 MB.
 GROUP_POINTS = 4000
+# The (i, j) grid points gen_triangular_lattice builds at most, about 0.8 GiB
+# at 83 B each: a square window of half-width 4,680 at the default edge.
+_MAX_LATTICE_GRID = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -153,12 +156,19 @@ def gen_triangular_lattice(a: float, window: Rect) -> MarkedPointSet:
     s = 2 * hardcore_for_reuse(a, 1)  # the site spacing is 2 h_1
     row = 0.5 * math.sqrt(3.0) * s
     # the (i, j) grid over a parallelogram around the window, row by row
-    j_lo = math.floor(window.ymin / row) - 1
-    j_hi = math.ceil(window.ymax / row) + 1
+    try:  # counted before it is built
+        j_lo = math.floor(window.ymin / row) - 1
+        j_hi = math.ceil(window.ymax / row) + 1
+        i_lo = math.floor((window.xmin - 0.5 * s * j_hi) / s) - 1
+        i_hi = math.ceil((window.xmax - 0.5 * s * j_lo) / s) + 2
+        size = float(i_hi - i_lo) * (j_hi + 1 - j_lo)  # exact to 2**53
+    except OverflowError:  # more rows or columns than a float holds
+        size = math.inf
+    if size > _MAX_LATTICE_GRID:
+        raise ValueError(f"a lattice of edge length {a} on {window} needs "
+                         f"{size:.3g} grid points, over {_MAX_LATTICE_GRID}")
     i, j = (grid.ravel() for grid in np.meshgrid(
-        np.arange(math.floor((window.xmin - 0.5 * s * j_hi) / s) - 1,
-                  math.ceil((window.xmax - 0.5 * s * j_lo) / s) + 2),
-        np.arange(j_lo, j_hi + 1)))
+        np.arange(i_lo, i_hi), np.arange(j_lo, j_hi + 1)))
     pts = np.column_stack((i * s + 0.5 * s * j, j * row))
     inside = window.contains(pts)
     return MarkedPointSet(pts[inside], np.ones(inside.sum(), dtype=np.int64),
@@ -174,19 +184,6 @@ def color_lattice(lattice: MarkedPointSet, k: int) -> MarkedPointSet:
         raise ValueError("coloring needs the lattice indices (i, j)")
     return dataclasses.replace(lattice, marks=mark(*lattice.lattice_ij.T),
                                num_marks=k)
-
-
-def sq_dists(points: np.ndarray, center) -> np.ndarray:
-    """``dx*dx + dy*dy`` from ``center`` to each row of ``points``.
-
-    Each coordinate of the center is a number, an array with one entry
-    per point, or a column of several centers' coordinates, which gives a
-    row of distances per center.  The values equal
-    ``((points - center) ** 2).sum(axis=1)`` bit for bit.
-    """
-    dx = points[:, 0] - center[0]
-    dy = points[:, 1] - center[1]
-    return dx * dx + dy * dy
 
 
 class SampleGroup(NamedTuple):
@@ -211,10 +208,9 @@ class SampleGroup(NamedTuple):
         return cls(points, starts, np.arange(len(sizes)).repeat(sizes))
 
     def sq_dists(self, centers) -> np.ndarray:
-        """:func:`sq_dists` from each point to the center of its sample."""
+        """:func:`kernels.sq_dists` from each point to its sample's center."""
         ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
-        return sq_dists(self.points, (ctr[:, 0].take(self.label),
-                                      ctr[:, 1].take(self.label)))
+        return kernels.sq_dists(self.points, ctr.take(self.label, axis=0))
 
     def ball_counts(self, centers, radii) -> list[list[int]]:
         """Per sample, the numbers of its points in the open balls
@@ -382,15 +378,15 @@ def verify_hardcore(ps: MarkedPointSet, min_dist: float) -> bool:
     """True iff every pair of distinct same-mark points is >= min_dist apart."""
     if len(ps) < 2 or min_dist <= 0:
         return True
-    threshold = min_dist * (1.0 - _REL_SLACK)
-    return kernels.min_same_mark_sq_dist(ps.points, ps.marks) >= threshold ** 2
+    return (kernels.min_same_mark_sq_dist(ps.points, ps.marks)
+            >= _squared_limits([min_dist])[0])
 
 
 def nearest_index(ps: MarkedPointSet, origin) -> int:
     """Index of the point closest to origin, as :meth:`SampleGroup.nearest`."""
     if len(ps) == 0:
         raise ValueError("point set is empty")
-    return SampleGroup.of(ps.points, [len(ps)]).nearest([origin])[0][0]
+    return _nearest(ps.points, kernels.sq_dists(ps.points, origin))
 
 
 def ball_count(ps: MarkedPointSet, center, radius: float) -> int:

@@ -285,6 +285,13 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, argv):
     # 2e6 points, over the cap; at --alpha 2 the bound diverges, so a grid
     # that got built would fail at its first point with exit code 2
     ("critical-power", "--alpha", "2", "--hk-step", "1", "--hk-max", "2e6"),
+    # windows too small for the balls of radius 16, at any trial count
+    ("verify", "--window", "30", "--trials", "0"),
+    ("verify", "--lattice-half-width", "10", "--trials", "0"),
+    # lattice grids over the cap, refused before they are built: about
+    # 4.6e17 points, and more than a float holds
+    ("verify", "--lattice-half-width", "1e9", "--trials", "0"),
+    ("verify", "--a", "1e-310", "--trials", "0"),
 ])
 def test_bad_grid_or_distance_is_one_line_usage_error(tmp_path, capsys, argv):
     # the 1e-300 step asks for ~6e300 points: refused before any is built
@@ -526,18 +533,24 @@ def test_verify_output_is_the_same_for_any_worker_count(tmp_path, monkeypatch,
 
 def test_verify_error_inside_a_shard_matches_one_worker(tmp_path, monkeypatch,
                                                         capfd):
-    # no ball of radius 16 fits in a Matern window of side 20, so every
-    # trial of that suite raises, in every shard
+    # every trial after the first raises, so each shard raises an error of
+    # its own, and the one reported is that of the earliest trial
+    from cellbounds import montecarlo
+
+    def failing_seed(seed, index, trial_seed=montecarlo.trial_seed):
+        if index > 0:
+            raise ValueError(f"trial {index} failed")
+        return trial_seed(seed, index)
+    monkeypatch.setattr(montecarlo, "trial_seed", failing_seed)
     outcomes = []
     for workers in (1, 2):
         pin_workers(monkeypatch, workers)
-        code, out = run(tmp_path, "err.csv", "verify", "--window", "20",
-                        "--trials", "4")
+        code, out = run(tmp_path, "err.csv", "verify", "--trials", "4")
         captured = capfd.readouterr()
         outcomes.append((code, captured.out, captured.err, out.exists()))
     assert outcomes[1] == outcomes[0]
     code, stdout, stderr, written = outcomes[0]
     assert code == 1 and stdout == "" and not written
-    assert stderr.startswith("error: window") and stderr.count("\n") == 1
+    assert stderr == "error: trial 1 failed\n"
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)

@@ -123,11 +123,36 @@ def test_power_law_sum_matches_direct_formula():
     origin = (30.0, 30.0)
     d = np.hypot(pts[:, 0] - origin[0], pts[:, 1] - origin[1])
     att = np.minimum(1.0, d ** -4.0)
-    d2 = pointset.sq_dists(pts, origin)
+    d2 = kernels.sq_dists(pts, origin)
     assert kernels.bounded_power_law_sum(d2, 4.0) == pytest.approx(
         att.sum(), rel=1e-12)
     assert kernels.bounded_power_law_sum(d2, 4.0, exclude=5) == \
         pytest.approx(att.sum() - att[5], rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sq_dists_equal_the_summed_squares(seed):
+    # integer coordinates give exact ties; the centers sit on, between and
+    # off the points, at negative coordinates too.  Each form that decides
+    # a result is checked: one point against many (balls, receivers), rows
+    # against rows (a center per sample) and the rows of two index arrays
+    # (the pair test of the thinning and the same-mark search)
+    rng = np.random.default_rng(seed)
+    clouds = [rng.uniform(-50, 50, size=(300, 2)),
+              rng.integers(-6, 7, size=(300, 2)).astype(float)]
+    for pts in clouds:
+        for center in (pts[7], (-3.0, 2.0), (-0.1, -17.25), (1e-8, 3.5)):
+            ctr = np.asarray(center, dtype=float)
+            assert np.array_equal(kernels.sq_dists(pts, ctr),
+                                  ((pts - ctr) ** 2).sum(axis=1))
+            assert np.array_equal(kernels.sq_dists(pts[7:8], ctr)[0],
+                                  ((pts[7] - ctr) ** 2).sum())
+        assert np.array_equal(kernels.sq_dists(pts, pts[::-1]),
+                              ((pts - pts[::-1]) ** 2).sum(axis=1))
+        i, j = rng.integers(0, len(pts), size=(2, 1000))
+        a, b = pts.take(i, axis=0), pts.take(j, axis=0)
+        assert np.array_equal(kernels.sq_dists(a, b),
+                              ((a - b) ** 2).sum(axis=1))
 
 
 # Clouds with every shape the cell grid treats specially; each entry is

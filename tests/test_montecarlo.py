@@ -48,7 +48,7 @@ def interference_record(seed, ps, receiver, h):
     i0 = nearest_index(ps, receiver)
     d = math.sqrt(((ps.points[i0] - receiver) ** 2).sum())
     realized = kernels.bounded_power_law_sum(
-        pointset.sq_dists(ps.points, receiver), MODEL.alpha, i0)
+        kernels.sq_dists(ps.points, receiver), MODEL.alpha, i0)
     return TrialRecord(seed, d, exclusion_radius(d, h), realized,
                        interference_bound(MODEL, h, d))
 
@@ -80,6 +80,10 @@ def test_ball_regulation_window_too_small():
     with pytest.raises(ConfigurationError):
         check_ball_regulation(lattice_factory(A_HEX, 40.0), 2.0, [100.0],
                               trials=1, seed=0)
+    # refused when the suite is built, so at zero trials too
+    with pytest.raises(ConfigurationError, match="cannot contain balls"):
+        ball_regulation_suite(lattice_factory(A_HEX, 40.0), 2.0, [100.0],
+                              trials=0, seed=0)
 
 
 def test_matern_ball_regulation_clean():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cellbounds import kernels, pointset
+from cellbounds import kernels
 from cellbounds.pathloss import BoundedPowerLaw, DivergenceError
 
 
@@ -58,7 +58,7 @@ def test_scalar_eval_is_float_within_four_ulps_of_kernel_sum(r, alpha):
     assert type(model.eval(np.float64(r))) is float
     assert model.eval(np.float64(r)) == value
     summed = kernels.bounded_power_law_sum(
-        pointset.sq_dists(np.array([[r, 0.0]]), (0.0, 0.0)), alpha)
+        kernels.sq_dists(np.array([[r, 0.0]]), (0.0, 0.0)), alpha)
     assert abs(value - summed) <= 4 * math.ulp(summed)
     if r <= 1:
         assert value == 1.0

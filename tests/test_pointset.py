@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from cellbounds.hexnet import UnsupportedReuseError
 from cellbounds.pointset import (MarkedPointSet, Rect, SampleGroup,
                                  ball_count, color_lattice, from_csv,
                                  gen_matern_ii, gen_triangular_lattice,
-                                 matern_groups, nearest_index, sq_dists,
-                                 to_csv, verify_hardcore)
+                                 matern_groups, nearest_index, to_csv,
+                                 verify_hardcore)
 
 A_HEX = 4 / math.sqrt(3.0)  # hexagon edge giving inter-site distance 4
 
@@ -53,6 +54,28 @@ def test_lattice_rejects_non_positive_or_non_finite_edge():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="edge length"):
             gen_triangular_lattice(bad, Rect(0, 1, 0, 1))
+
+
+def test_lattice_over_the_grid_cap_is_refused_before_it_is_built(
+        monkeypatch):
+    # a half-width of 1e9 asks for about 4.6e17 grid points, and the other
+    # two for more than a float holds; each is refused with next to nothing
+    # allocated
+    tracemalloc.start()
+    try:
+        for a, half_width in ((A_HEX, 1e9), (1e-310, 40.0), (A_HEX, 1e300)):
+            with pytest.raises(ValueError, match=r"needs \S+ grid points, "
+                                                 r"over 10000000$"):
+                gen_triangular_lattice(a, Rect.square((0, 0), half_width))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    window = Rect.square((0, 0), 40.0)
+    assert len(gen_triangular_lattice(A_HEX, window)) > 0
+    monkeypatch.setattr(pointset, "_MAX_LATTICE_GRID", 100)
+    with pytest.raises(ValueError, match="lattice of edge length"):
+        gen_triangular_lattice(A_HEX, window)
 
 
 def lattice_reference(a, window):
@@ -408,22 +431,6 @@ def test_matern_rejects_a_poisson_mean_above_2_to_the_62():
         next(matern_groups(0.1, 4.0, window, [(1, None)]))
     # a finite mean at the limit is accepted; only its draw runs out of memory
     pointset.check_matern(2.0 ** 62 / window.expand(4.0).area, 4.0, window)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_sq_dists_equal_the_summed_squares(seed):
-    # integer coordinates give exact ties; the centers sit on, between and
-    # off the points, at negative coordinates too
-    rng = np.random.default_rng(seed)
-    clouds = [rng.uniform(-50, 50, size=(300, 2)),
-              rng.integers(-6, 7, size=(300, 2)).astype(float)]
-    for pts in clouds:
-        for center in (pts[7], (-3.0, 2.0), (-0.1, -17.25), (1e-8, 3.5)):
-            ctr = np.asarray(center, dtype=float)
-            assert np.array_equal(sq_dists(pts, ctr),
-                                  ((pts - ctr) ** 2).sum(axis=1))
-            assert np.array_equal(sq_dists(pts[7:8], ctr)[0],
-                                  ((pts[7] - ctr) ** 2).sum())
 
 
 def test_sample_group_queries_match_single_sets():
