@@ -8,6 +8,20 @@ noise; a 1e-12 relative slack absorbs floating-point summation order.
 Realized sums run over the finite window while the bounds address the
 infinite plane; since the attenuation is non-negative this only makes the
 checks conservative, never unsound.
+
+Every random draw of a suite of seed ``seed`` comes from numpy's PCG64
+streams, fixed by the seed and the trial index ``i`` alone:
+
+* the trial seed, recorded with each of the trial's records, is word 0 of
+  ``np.random.SeedSequence([seed, i])``, :func:`trial_seed`;
+* the trial's sample is drawn from ``np.random.default_rng(trial seed)``
+  (see :func:`cellbounds.pointset.matern_groups`);
+* a ball suite draws the trial's ball center from
+  ``np.random.default_rng([seed, i, 1])``.
+
+Each shard of trials derives these in one vectorized pass of numpy's
+seeding algorithm (:func:`trial_streams`, :mod:`cellbounds._seeding`), and
+its samples' streams in one more per sampled suite.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import _seeding, kernels
 from ._shards import default_workers, map_shards
 from .bounds import ball_count_bound, exclusion_radius, interference_bound
 from .guarantees import link_at_snr, theta
@@ -88,8 +102,37 @@ def _finalize(label: str, trials: int, records: list[TrialRecord],
 
 
 def trial_seed(seed: int, index: int) -> int:
-    """Per-trial seed, stable in (seed, index) and independent of call order."""
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+    """Per-trial seed, stable in (seed, index) and independent of call order:
+    word 0 of ``SeedSequence([seed, index])``."""
+    return _seeding.first_words(_seeding.states([(seed, index)]))[0]
+
+
+class TrialStreams(NamedTuple):
+    """The streams of a range of trials of one seed: the trial seeds, and
+    the PCG64 words of the ball-center streams, one row per trial (none if
+    not asked for)."""
+
+    seeds: list[int]
+    centers: np.ndarray
+
+
+def trial_streams(requests) -> list[TrialStreams]:
+    """The :class:`TrialStreams` of each ``(seed, trials, centers)`` request,
+    with the ball-center streams only where ``centers`` is true, all from
+    one pass of :func:`cellbounds._seeding.states`."""
+    rows = []
+    for seed, trials, centers in requests:
+        rows += [(seed, i) for i in trials]
+        rows += [(seed, i, 1) for i in trials] if centers else []
+    words = _seeding.states(rows)
+    streams, first = [], 0
+    for seed, trials, centers in requests:
+        stop = first + len(trials)
+        end = stop + len(trials) if centers else stop
+        streams.append(TrialStreams(_seeding.first_words(words[first:stop]),
+                                    words[stop:end]))
+        first = end
+    return streams
 
 
 # A source of configurations for the checks below has a ``window`` its
@@ -123,12 +166,6 @@ def lattice_factory(a: float, half_width: float, k: int = 1):
     return color_lattice(gen_triangular_lattice(a, window), k)
 
 
-def _ball_center(inner: Rect, seed: int, index: int):
-    rng = np.random.default_rng([seed, index, 1])
-    return (rng.uniform(inner.xmin, inner.xmax),
-            rng.uniform(inner.ymin, inner.ymax))
-
-
 class Suite(NamedTuple):
     """A trial-indexed check, run in shards of its trials by :func:`run_suites`.
 
@@ -136,11 +173,19 @@ class Suite(NamedTuple):
     trial indices and how many of them were skipped.  A record depends only
     on the suite's seed and its trial index, so the records of contiguous
     ranges, concatenated in order, are those of ``range(trials)``.
+
+    A suite with a ``seed`` draws from its streams (see the module
+    docstring), and the ball-center streams too if ``centers`` is true.
+    :func:`run_suites` derives those of all suites in one pass and calls
+    ``records(trial_range, streams)`` with the suite's
+    :class:`TrialStreams`; called with the range alone, it derives them.
     """
 
     label: str
     trials: int
-    records: Callable[[range], tuple[list[TrialRecord], int]]
+    records: Callable[..., tuple[list[TrialRecord], int]]
+    seed: int | None = None
+    centers: bool = False
 
 
 def run_suites(suites: list[Suite]) -> list[VerificationReport]:
@@ -170,14 +215,21 @@ def run_suites(suites: list[Suite]) -> list[VerificationReport]:
 
 def _run_shard(suites: list[Suite], shard: range):
     """Records and skipped counts of each suite over the trials in shard,
-    up to the first suite that raises, and that exception or None."""
+    up to the first suite that raises, and that exception or None.  The
+    streams of every seeded suite come first, from one pass."""
+    ranges = [range(shard.start, min(shard.stop, suite.trials))
+              for suite in suites]
     done = []
-    for suite in suites:
-        trials = range(shard.start, min(shard.stop, suite.trials))
-        try:
-            done.append(suite.records(trials) if trials else ([], 0))
-        except Exception as exc:  # run_suites raises it if no earlier one
-            return done, exc
+    try:  # run_suites raises the exception if no earlier one
+        streams = iter(trial_streams(
+            [(suite.seed, trials, suite.centers)
+             for suite, trials in zip(suites, ranges)
+             if suite.seed is not None]))
+        for suite, trials in zip(suites, ranges):
+            args = (trials,) if suite.seed is None else (trials, next(streams))
+            done.append(suite.records(*args) if trials else ([], 0))
+    except Exception as exc:
+        return done, exc
     return done, None
 
 
@@ -201,14 +253,20 @@ def ball_regulation_suite(source, h: float, r_grid, trials: int,
                                  f"balls of radius {max(r_grid)}") from None
     bounds = [ball_count_bound(h, r) for r in r_grid]
     return Suite("ball-regulation", trials,
-                 partial(_ball_records, source, inner, r_grid, bounds, seed))
+                 partial(_ball_records, source, inner, r_grid, bounds, seed),
+                 seed, centers=True)
 
 
 def _ball_records(source, inner: Rect, r_grid: list[float],
-                  bounds: list[float], seed: int, trials: range):
+                  bounds: list[float], seed: int, trials: range,
+                  streams: TrialStreams | None = None):
     r_max = max(r_grid)
-    seeds = [trial_seed(seed, i) for i in trials]
-    centers = [_ball_center(inner, seed, i) for i in trials]
+    seeds, center_words = streams or trial_streams([(seed, trials, True)])[0]
+    centers = []
+    for words in center_words:
+        rng = _seeding.generator(words)
+        centers.append((rng.uniform(inner.xmin, inner.xmax),
+                        rng.uniform(inner.ymin, inner.ymax)))
     counts = []
     for group in source.groups(
             (tseed, (center, r_max)) for tseed, center in zip(seeds, centers)):
@@ -238,7 +296,8 @@ def interference_suite(source, h: float, model: BoundedPowerLaw,
     """
     interference_bound(model, h, h)  # a divergent model raises before a trial
     return Suite("interference-bound", trials,
-                 partial(_interference_records, source, h, model, seed))
+                 partial(_interference_records, source, h, model, seed),
+                 seed)
 
 
 def _interference(group: SampleGroup, receivers, alpha: float) -> list:
@@ -256,8 +315,9 @@ def _interference(group: SampleGroup, receivers, alpha: float) -> list:
 
 
 def _interference_records(source, h: float, model: BoundedPowerLaw,
-                          seed: int, trials: range):
-    seeds = [trial_seed(seed, i) for i in trials]
+                          seed: int, trials: range,
+                          streams: TrialStreams | None = None):
+    seeds = (streams or trial_streams([(seed, trials, False)])[0]).seeds
     user = source.window.center
     found = []
     for group in source.groups((tseed, None) for tseed in seeds):

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import kernels
+from . import _seeding, kernels
 from ._textio import opened, write_lines
 from .hexnet import hardcore_for_reuse, reuse
 
@@ -294,9 +294,10 @@ def matern_groups(intensity: float, hardcore_radius: float, window: Rect,
     """Matern type-II samples (see :func:`gen_matern_ii`), a group at a time.
 
     ``draws`` gives one ``(seed, near)`` pair per sample, ``near`` being
-    ``None`` or ``(center, reach)``.  Samples are drawn in order, grouped
-    by their Poisson points to be thinned (see :func:`_grouped`), and each
-    group is thinned in one labelled call of
+    ``None`` or ``(center, reach)``.  The samples' streams are derived in
+    one pass over ``draws`` (see :mod:`cellbounds._seeding`).  Samples are
+    drawn in order, grouped by their Poisson points to be thinned (see
+    :func:`_grouped`), and each group is thinned in one labelled call of
     :func:`cellbounds.kernels.matern_keep_mask`.  Each yielded group holds
     the retained points of its samples, equal point for point to
     :func:`gen_matern_ii` of the same seed.
@@ -312,17 +313,20 @@ def matern_groups(intensity: float, hardcore_radius: float, window: Rect,
     """
     check_matern(intensity, hardcore_radius, window)
     ext = window.expand(hardcore_radius)
-    samples = (_draw(ext, intensity * ext.area, hardcore_radius, *draw)
-               for draw in draws)
+    draws = list(draws)
+    streams = _seeding.states([(seed,) for seed, _ in draws])
+    samples = (_draw(ext, intensity * ext.area, hardcore_radius, words, near)
+               for words, (_, near) in zip(streams, draws))
     for batch in _grouped(samples, lambda sample: len(sample[1])):
         yield _thin(hardcore_radius, window, batch)
 
 
-def _draw(ext: Rect, mean: float, hardcore_radius: float, seed, near):
+def _draw(ext: Rect, mean: float, hardcore_radius: float, words, near):
     """The Poisson points of one sample to be thinned, as ``(points, ages,
     within)``: those within reach of ``near`` (all of them without it),
-    and whether each lies within the sample's square."""
-    rng = np.random.default_rng(seed)
+    and whether each lies within the sample's square.  ``words`` seed its
+    stream (see :func:`cellbounds._seeding.generator`)."""
+    rng = _seeding.generator(words)
     n = int(rng.poisson(mean))
     points = np.column_stack((rng.uniform(ext.xmin, ext.xmax, n),
                               rng.uniform(ext.ymin, ext.ymax, n)))

@@ -1,16 +1,22 @@
-"""The quadrature route to the conditional interference bound.
+"""Independent routes to what the package computes, for the tests to
+compare against.
 
 The package computes every bound in closed form from the exact tail
-integrals of the model (``cellbounds.bounds._closed_form``).  This second
-route integrates numerically against an arbitrary quadratic envelope and
-shares no arithmetic with the first, so the tests use it as an independent
-oracle: the two must agree.
+integrals of the model (``cellbounds.bounds._closed_form``).  The
+quadrature route integrates numerically against an arbitrary quadratic
+envelope and shares no arithmetic with the first, so the two must agree.
+
+The package seeds its samplers through its own vectorized copy of numpy's
+seeding (``cellbounds._seeding``) and thins them on a cell grid.
+:func:`matern_oracle` draws from ``np.random.default_rng`` and thins by
+the direct O(n^2) rule instead.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 from cellbounds.bounds import hardcore_regulation_constants
@@ -59,3 +65,36 @@ def conditional_bound_general(model: BoundedPowerLaw,
         lo = 1.0
     total += quad(integrand, lo, radius, **_QUAD_OPTS)[0]
     return boundary + total
+
+
+def matern_oracle(intensity: float, hardcore_radius: float,
+                  window: tuple[float, float, float, float],
+                  seed: int) -> np.ndarray:
+    """The retained points of a Matern type-II sample, drawn straight from
+    ``np.random.default_rng(seed)`` and thinned by the O(n^2) rule.
+
+    ``window`` is ``(xmin, xmax, ymin, ymax)``.  The Poisson count on the
+    window grown by ``hardcore_radius`` is drawn first, then the x
+    coordinates, the y coordinates and the ages.  A point is retained iff no
+    point of smaller age (equal ages: of smaller index) lies strictly within
+    ``hardcore_radius``; the retained points in the closed window are
+    returned in the order drawn.
+    """
+    xmin, xmax, ymin, ymax = window
+    r = hardcore_radius
+    lo_x, hi_x, lo_y, hi_y = xmin - r, xmax + r, ymin - r, ymax + r
+    rng = np.random.default_rng(seed)
+    n = int(rng.poisson(intensity * ((hi_x - lo_x) * (hi_y - lo_y))))
+    x = rng.uniform(lo_x, hi_x, n)
+    y = rng.uniform(lo_y, hi_y, n)
+    ages = rng.random(n)
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    index = np.arange(n)
+    older = ((ages[None, :] < ages[:, None])
+             | ((ages[None, :] == ages[:, None])
+                & (index[None, :] < index[:, None])))
+    killed = ((dx * dx + dy * dy < r * r) & older).any(axis=1)
+    inside = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
+    keep = ~killed & inside
+    return np.column_stack((x[keep], y[keep]))

@@ -30,6 +30,10 @@ WIDE_VERIFY_SHA256 = (
 # sha256 of verify --suite all --trials 100 --seed 7
 SEED7_VERIFY_SHA256 = (
     "9771851d1fd911699caa25e57a91bfe20bdf6161e9c94970f476958c5ab31470")
+# sha256 of verify --suite all --trials 3 --seed 2**70: a seed of three
+# 32-bit words, so a ball center's entropy [seed, i, 1] has five
+SEED70_VERIFY_SHA256 = (
+    "19af7e9e18a70ee5ef36e9fb42f691027c2d117ded402a36f416230261feeee9")
 # sha256 of verify --trials 0: the four empty summaries and no scheduled one
 VERIFY0_SHA256 = (
     "fd90f9d4fe4d2b04fc2cfb95bec3a3fa16c6e8881bea3ac6556f633972fea565")
@@ -371,6 +375,13 @@ def test_seed_7_verify_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED7_VERIFY_SHA256
 
 
+def test_multi_word_seed_verify_csv_bytes_are_pinned(tmp_path):
+    code, out = run(tmp_path, "seed70.csv", "verify", "--suite", "all",
+                    "--trials", "3", "--seed", str(2**70))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED70_VERIFY_SHA256
+
+
 def test_zero_trial_verify_csv_bytes_are_pinned(tmp_path):
     code, out = run(tmp_path, "zero.csv", "verify", "--trials", "0")
     assert code == 0
@@ -533,15 +544,17 @@ def test_verify_output_is_the_same_for_any_worker_count(tmp_path, monkeypatch,
 
 def test_verify_error_inside_a_shard_matches_one_worker(tmp_path, monkeypatch,
                                                         capfd):
-    # every trial after the first raises, so each shard raises an error of
-    # its own, and the one reported is that of the earliest trial
+    # every trial after the first raises as its shard derives its streams,
+    # so each shard raises an error of its own, and the one reported is that
+    # of the earliest trial
     from cellbounds import montecarlo
 
-    def failing_seed(seed, index, trial_seed=montecarlo.trial_seed):
-        if index > 0:
-            raise ValueError(f"trial {index} failed")
-        return trial_seed(seed, index)
-    monkeypatch.setattr(montecarlo, "trial_seed", failing_seed)
+    def failing_streams(requests, trial_streams=montecarlo.trial_streams):
+        for index in (i for _, trials, _ in requests for i in trials):
+            if index > 0:
+                raise ValueError(f"trial {index} failed")
+        return trial_streams(requests)
+    monkeypatch.setattr(montecarlo, "trial_streams", failing_streams)
     outcomes = []
     for workers in (1, 2):
         pin_workers(monkeypatch, workers)

@@ -11,7 +11,7 @@ from cellbounds.bounds import (ball_count_bound, exclusion_radius,
 from cellbounds.guarantees import LinkBudget, theta
 from cellbounds.hexnet import REUSE, hardcore_for_reuse
 from cellbounds.montecarlo import (ConfigurationError, TrialRecord,
-                                   _ball_center, _finalize,
+                                   _finalize,
                                    ball_regulation_suite,
                                    check_ball_regulation,
                                    check_interference_bound,
@@ -28,16 +28,24 @@ MODEL = BoundedPowerLaw(4)
 R_GRID = [2.0, 4.0, 8.0, 16.0]
 
 
+def numpy_trial_seed(seed, index):
+    """The trial seed of the stream contract, straight from numpy."""
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+
+
 def ball_oracle(source, h, seed, trials):
     """The ball suite's records and skipped count over ``trials``, each
-    trial counted on the source's whole sample of its seed."""
+    trial counted on the source's whole sample of its seed, with its seed
+    and center drawn straight from numpy."""
     bounds = [ball_count_bound(h, r) for r in R_GRID]
     inner = source.window.shrink(max(R_GRID))
     records = []
     for i in trials:
-        tseed = trial_seed(seed, i)
+        tseed = numpy_trial_seed(seed, i)
         ps = source(tseed)
-        center = _ball_center(inner, seed, i)
+        rng = np.random.default_rng([seed, i, 1])
+        center = (rng.uniform(inner.xmin, inner.xmax),
+                  rng.uniform(inner.ymin, inner.ymax))
         records += [TrialRecord(tseed, r, r, float(ball_count(ps, center, r)),
                                 bound) for r, bound in zip(R_GRID, bounds)]
     return records, 0
@@ -55,9 +63,10 @@ def interference_record(seed, ps, receiver, h):
 
 def interference_oracle(source, h, seed, trials):
     """The interference suite's records and skipped count over ``trials``,
-    each trial on the source's whole sample of its seed."""
+    each trial on the source's whole sample of its seed, drawn straight
+    from numpy."""
     samples = [(tseed, source(tseed))
-               for tseed in (trial_seed(seed, i) for i in trials)]
+               for tseed in (numpy_trial_seed(seed, i) for i in trials)]
     return ([interference_record(tseed, ps, ps.window.center, h)
              for tseed, ps in samples if len(ps)],
             sum(1 for _, ps in samples if not len(ps)))

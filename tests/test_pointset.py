@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import matern_oracle
 from scipy.spatial.distance import pdist
 
 from cellbounds import pointset
@@ -176,6 +177,16 @@ def test_matern_deterministic_per_seed():
     assert np.array_equal(first.points, second.points)
     other = gen_matern_ii(0.1, 4.0, window, 8)
     assert len(other) == 0 or not np.array_equal(first.points, other.points)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**70])
+def test_matern_equals_the_numpy_oracle(seed):
+    # multi-word seeds included: the sampler seeds its stream through its
+    # own copy of numpy's seeding, the oracle through default_rng
+    points = gen_matern_ii(0.1, 4.0, Rect(0, 60, 0, 50), seed).points
+    expected = matern_oracle(0.1, 4.0, (0, 60, 0, 50), seed)
+    assert len(expected) > 20
+    assert np.array_equal(points, expected)
 
 
 def test_matern_empty_sample_is_valid():
