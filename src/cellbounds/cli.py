@@ -65,8 +65,29 @@ def _write_csv(args, header: list[str], rows, footer: list[str] = ()) -> None:
         (f"# {key} = {_fmt(val)}" for key, val in vars(args).items()
          if key not in ("subcommand", "out", "func") and val is not None),
         [",".join(header)],
-        (",".join(map(_fmt, row)) for row in rows),
+        _format_rows(rows),
         (f"# {note}" for note in footer)))
+
+
+# %-formats that print a value of exactly this type as _fmt does
+_EXACT_FORMATS = {float: "%.12g", int: "%d"}
+
+
+def _format_rows(rows):
+    """The CSV lines of ``rows``, each ``",".join(map(_fmt, row))``.  A row
+    of exact floats and ints goes through one %-format per sequence of
+    types, built once; any other row (None, bool, numpy scalars) through
+    :func:`_fmt`."""
+    formats = {}
+    for row in rows:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            exact = all(t in _EXACT_FORMATS for t in types)
+            fmt = formats[types] = (
+                ",".join(map(_EXACT_FORMATS.get, types)) if exact else "")
+        yield fmt % row if fmt else ",".join(map(_fmt, row))
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:

@@ -1,10 +1,14 @@
 """Hot-loop kernels: Matern thinning, same-mark separation, power-law sums.
 
-Neighbour searches run on a grid of square cells in numpy alone (see
-:func:`_close_pairs`).  Every distance that decides a result is computed
-from the coordinates as ``dx*dx + dy*dy``, so masks and minima equal
-those of the direct O(n^2) rule bit for bit.  Power-law sums take squared
-distances from the receiver, as :func:`sq_dists` computes them.
+Neighbour searches run on a grid of cells in numpy alone: columns at
+least the search radius w wide, cut into sub-rows w/3 high.  A point is
+tested against the points of 3.5 w^2 around it, where square cells of
+side w took 4.5 w^2 (see :func:`_close_pairs`).  The cell ids are sorted
+by numpy's O(n) radix sort where they fit in 16 bits.  Every distance
+that decides a result is computed from the coordinates as
+``dx*dx + dy*dy``, so masks and minima equal those of the direct O(n^2)
+rule bit for bit.  Power-law sums take squared distances from the
+receiver, as :func:`sq_dists` computes them.
 
 :func:`matern_keep_mask` thins several independent samples in one call
 when each point carries the label of its sample: the label is part of the
@@ -31,22 +35,30 @@ import math
 import numpy as np
 
 # Relative inflation of the grid's cell side over the search radius, so that
-# no pair inside the exact radius lands two cells apart through the rounding
-# of its cell coordinates; the exact test follows.
+# no pair inside the exact radius lands two columns or four sub-rows apart
+# through the rounding of its scaled coordinates; the exact test follows.
 _SEARCH_SLACK = 1e-9
-# Cell coordinates below 2**20 round by less than 1e-9 of a cell in total,
-# which the slack absorbs.
+# Columns at most, and cell sides per column, so that scaled coordinates
+# stay below _SUBROWS * 2**20 and round by less than the slack (see
+# _cell_runs).
 _MAX_CELLS_PER_AXIS = 2 ** 20
+# Sub-rows per cell: each column of the grid, one cell side wide, is cut
+# into rows of a third of the side, so a point's candidates cover 3.5 side^2
+# around it where whole cells covered 4.5 (the half-disc it looks for is
+# about 1.57 side^2).
+_SUBROWS = 3
 # Blocks of cells, one per sample label, that share the cell budget of one
 # unlabelled cloud before the cells grow; a group of local ball samples
 # (about 25 labels, 4,000 points over a 108 x 108 window) then keeps cells
-# of the search radius, about 5 cells per point in all.
+# of the search radius, about 14 sub-row cells per point in all.
 _LABEL_BLOCKS = 8
 # Candidate pairs tested at once.  A batch bounds the memory of a call
 # where many points share a cell (a tight cluster), and its arrays, the
-# largest of them the 64 KiB of coordinate differences, stay in L2 and far
-# below the mmap threshold raised below, so the allocator reuses the heap
-# pages the batch before freed.  1 << 11 makes verify-acceptance slower.
+# largest of them the 64 KiB of coordinates of one side of the pairs, stay
+# in L2 and far below the mmap threshold raised below, so the allocator
+# reuses the heap pages the batch before freed.  1 << 11 makes
+# verify-acceptance slower; 1 << 13 thins about 8% faster but raises the
+# peak RSS of verify-wide by about 0.2 MB.
 _BATCH = 1 << 12
 
 # glibc gives the top of its heap back to the system once more than its
@@ -64,15 +76,24 @@ def _points(points) -> np.ndarray:
     return np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 2)
 
 
-def sq_dists(points: np.ndarray, others) -> np.ndarray:
+def sq_dists(points: np.ndarray, others, out=None) -> np.ndarray:
     """``dx*dx + dy*dy`` from each row of ``points`` to the same row of
     ``others``, or to the one point ``others``.
 
     The values equal ``((points - others) ** 2).sum(axis=1)`` bit for bit.
+    The coordinate differences are written to ``out`` if given, which may
+    be ``points`` itself.
     """
-    d = np.subtract(points, others)
+    d = np.subtract(points, others, out=out)
     d *= d
     return d[:, 0] + d[:, 1]
+
+
+def _pair_sq_dists(pts: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """:func:`sq_dists` from the rows ``i`` of ``pts`` to its rows ``j``,
+    with the differences written over the copy of the rows ``i``."""
+    rows = pts.take(i, axis=0)
+    return sq_dists(rows, pts.take(j, axis=0), out=rows)
 
 
 def _extent(pts: np.ndarray):
@@ -91,9 +112,21 @@ def _cell_runs(pts: np.ndarray, radius: float, cloud: np.ndarray):
 
     Returns ``order, own_end, next_begin, next_end``: the point at sorted
     position ``p`` is paired with positions ``p + 1`` to ``own_end[p]``,
-    the later points of its own cell and the cell above, and with
-    positions ``next_begin[p]`` to ``next_end[p]``, the three cells of the
-    next column (ends exclusive).
+    the later points of its own sub-row and of the ``_SUBROWS`` sub-rows
+    above it, and with positions ``next_begin[p]`` to ``next_end[p]``, the
+    sub-rows of the next column from ``_SUBROWS`` below its own to
+    ``_SUBROWS`` above (ends exclusive).
+
+    The columns are ``side >= radius * (1 + _SEARCH_SLACK)`` wide and the
+    sub-rows ``side / _SUBROWS`` high, so the offsets of a close pair,
+    scaled by them, are below 1 by 1e-9 and below ``_SUBROWS`` by 3e-9.
+    The side allows at most ``_MAX_CELLS_PER_AXIS`` columns and
+    ``_SUBROWS`` times as many sub-rows, so the scaled coordinates stay
+    below ``_SUBROWS * 2**20``.  Each comes from a subtraction and a
+    division rounded to 53 bits, so it is off by at most ``3 * 2**-32``
+    (7e-10), and a pair's offset by twice that.  A close pair therefore
+    lies in one column or in two adjacent ones, and at most ``_SUBROWS``
+    sub-rows apart.
     """
     n = pts.shape[0]
     xmin, ymin, width, height = _extent(pts)
@@ -103,22 +136,38 @@ def _cell_runs(pts: np.ndarray, radius: float, cloud: np.ndarray):
     side = max(radius * (1 + _SEARCH_SLACK),
                math.sqrt(spread * width * height / n),
                spread * max(width, height) / min(n, _MAX_CELLS_PER_AXIS))
-    # cells are numbered up the columns; an empty row on top of each column
-    # and an empty column on the right make every stencil cell exist, and
-    # keep the stencil inside its label's block
-    rows = int(height / side) + 2
+    sub = side / _SUBROWS
+    # cells are numbered up the columns; _SUBROWS empty sub-rows on top of
+    # each column and an empty column on the right make every stencil cell
+    # exist, and keep the stencil inside its label's block.  The row count
+    # and the points' sub-rows divide by the same sub, so the top point's
+    # sub-row is int(height / sub) exactly; another expression, such as
+    # height * _SUBROWS / side, can floor one higher and index past them
+    rows = int(height / sub) + 1 + _SUBROWS
     block = (int(width / side) + 2) * rows
     cells = block * labels
     cell = ((pts[:, 0] - xmin) / side).astype(np.intp)
     cell *= rows
-    cell += ((pts[:, 1] - ymin) / side).astype(np.intp)
+    cell += ((pts[:, 1] - ymin) / sub).astype(np.intp)
     cell += cloud * block
-    order = cell.argsort()
+    order = _cell_order(cell, cells)
     cell = cell.take(order)
-    start = np.zeros(cells + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cell, minlength=cells), out=start[1:])
-    return (order, start.take(cell + 2), start.take(cell + (rows - 1)),
-            start.take(cell + (rows + 2)))
+    # start[c], the sorted position of cell c's first point, counts the
+    # points of the cells below c: one array of cells + 1 entries
+    start = np.bincount(cell + 1, minlength=cells + 1)
+    np.cumsum(start, out=start)
+    return (order, start.take(cell + (_SUBROWS + 1)),
+            start.take(cell + (rows - _SUBROWS)),
+            start.take(cell + (rows + _SUBROWS + 1)))
+
+
+def _cell_order(cell: np.ndarray, cells: int) -> np.ndarray:
+    """The order that sorts the cell ids ``cell``, all below ``cells``:
+    numpy's O(n) radix sort of a 16-bit copy where the ids fit, its
+    default sort otherwise.  Neither order within a cell changes a result."""
+    if cells <= 1 << 16:
+        return cell.astype(np.uint16).argsort(kind="stable")
+    return cell.argsort()
 
 
 def _close_pairs(pts: np.ndarray, radius: float, cloud: np.ndarray):
@@ -126,12 +175,14 @@ def _close_pairs(pts: np.ndarray, radius: float, cloud: np.ndarray):
 
     Yields the pairs in batches: each unordered pair with
     ``dx*dx + dy*dy < radius*radius`` appears once, in either orientation.
-    The points are sorted into square cells of side at least ``radius``,
-    so a close pair lies in one cell or in two adjacent ones; each point
-    is paired with the later points of its own cell and with the points of
-    the cell above it and of the three cells of the next column.  The side
-    grows for clouds sparse relative to the radius, so that there are
-    never more than about 3n cells.
+    The points are sorted into columns of width at least ``radius``, each
+    cut into sub-rows a third of that high, so a close pair lies in
+    one column or two adjacent ones and at most three sub-rows apart (see
+    :func:`_cell_runs`).  Each point is paired with the later points of its
+    own sub-row and with the points of the three sub-rows above it and of
+    the seven sub-rows of the next column around its own.  The width grows
+    for clouds sparse relative to the radius, so that there are about 3n
+    cells in a square cloud and never more than about 9n.
 
     Candidate pairs are tested in batches of about ``_BATCH``, so each
     batch's arrays are a few pages that the next batch, and the next call,
@@ -144,7 +195,7 @@ def _close_pairs(pts: np.ndarray, radius: float, cloud: np.ndarray):
     label a block of cells of its own, so that only points of the same
     label are paired.  Up to ``_LABEL_BLOCKS`` labels share the cell budget
     of one cloud; more labels widen the cells, keeping the total at about
-    ``3 * _LABEL_BLOCKS`` cells per point.
+    ``3 * _LABEL_BLOCKS`` cells per point in a square cloud.
     """
     n = pts.shape[0]
     if n < 2 or not radius > 0:
@@ -165,8 +216,7 @@ def _close_pairs(pts: np.ndarray, radius: float, cloud: np.ndarray):
             j = np.arange(i.shape[0])
             j -= skew.repeat(count)
             j = order.take(j)
-            close = sq_dists(pts.take(i, axis=0),
-                             pts.take(j, axis=0)) < radius * radius
+            close = _pair_sq_dists(pts, i, j) < radius * radius
             yield i.compress(close), j.compress(close)
 
 
@@ -235,7 +285,7 @@ def min_same_mark_sq_dist(points, marks) -> float:
     found = math.inf
     while found == math.inf:
         for i, j in _close_pairs(pts, radius, label.reshape(-1)):
-            d2 = sq_dists(pts.take(i, axis=0), pts.take(j, axis=0))
+            d2 = _pair_sq_dists(pts, i, j)
             found = float(d2.min(initial=found))
         if radius == math.inf:  # every squared distance overflows
             break

@@ -173,6 +173,24 @@ EDGE_CLOUDS = {
                                for j in range(3)], dtype=float), 1.0),
     "squares overflow": (np.array([[0.0, 0.0], [1e200, 0.0],
                                    [-1e200, 5.0]]), 1.0),
+    # r = 3 in cells of side 3(1 + 1e-9) cut into sub-rows of a third of
+    # that: points on the sub-row boundaries, in three columns, the middle
+    # one on a column boundary
+    "sub-row boundaries": (np.array(
+        [[x, k * 3 * (1 + kernels._SEARCH_SLACK) / kernels._SUBROWS]
+         for x in (0.0, 2.0, 3 * (1 + kernels._SEARCH_SLACK))
+         for k in range(12)]), 3.0),
+    # pairs with dy = r - 2**-40, from just above a sub-row boundary to just
+    # below one three sub-rows away: up a column, and up and down across
+    # a column boundary, 2**-27 wide; a pair exactly r apart across three
+    # sub-rows; 18 points over 9 x 15.5 keep the cells at side r(1 + 1e-9)
+    "3 sub-rows apart": (np.array(
+        [[0.0, 0.0], [1.0, 0.5], [1.0, 3.5 - 2 ** -40],
+         [3.0, 9.5], [3.0 + 2 ** -27, 6.5 + 2 ** -40],
+         [3.0, 12.5], [3.0 + 2 ** -27, 15.5 - 2 ** -40],
+         [6.5, 0.25], [6.5, 3.25]]
+        + [[9.0, 3.5 * k] for k in range(5)]
+        + [[7.75, 3.5 * k + 1.75] for k in range(4)]), 3.0),
 }
 
 
@@ -196,6 +214,18 @@ def test_pair_exactly_r_apart_survives_and_sets_the_minimum():
     assert kernels.min_same_mark_sq_dist(pts, np.ones(len(pts))) == 16.0
 
 
+def matern_mask_by_rows(pts, ages, radius):
+    """The retention rule row by row, on the squared distances of
+    kernels.sq_dists; fast enough for a few thousand points."""
+    rank = np.arange(len(pts))
+    keep = np.empty(len(pts), dtype=bool)
+    for i in range(len(pts)):
+        d2 = ((pts - pts[i]) ** 2).sum(axis=1)
+        older = (ages < ages[i]) | ((ages == ages[i]) & (rank < i))
+        keep[i] = not (older & (d2 < radius * radius)).any()
+    return keep
+
+
 @pytest.mark.parametrize("height", [1e9, 0.0])
 def test_widely_spread_cloud_needs_no_dense_grid(height):
     # cells of side 1e-3 would number 1e24 over a 1e9 square, and 1e12
@@ -215,17 +245,9 @@ def test_widely_spread_cloud_needs_no_dense_grid(height):
         tracemalloc.stop()
     assert peak < 2e6
     assert (~keep).sum() == 1
-    # row by row, the direct rule on the same squared distances
-    expected = np.ones(len(pts), dtype=bool)
-    smallest = np.inf
-    rank = np.arange(len(pts))
-    for i in range(len(pts)):
-        d2 = ((pts - pts[i]) ** 2).sum(axis=1)
-        older = (ages < ages[i]) | ((ages == ages[i]) & (rank < i))
-        expected[i] = not (older & (d2 < 1e-6)).any()
-        smallest = min(smallest, d2[i + 1:].min(initial=np.inf))
-    assert np.array_equal(keep, expected)
-    assert best == smallest
+    assert np.array_equal(keep, matern_mask_by_rows(pts, ages, 1e-3))
+    assert best == min(((pts[i + 1:] - pts[i]) ** 2).sum(axis=1).min()
+                       for i in range(len(pts) - 1))
 
 
 @pytest.mark.parametrize("batch", [1, 7, 100, kernels._BATCH, 1 << 14])
@@ -398,6 +420,29 @@ def test_many_labels_widen_the_cells_without_changing_masks(monkeypatch):
     # labels far above the number of points are renumbered first
     assert np.array_equal(
         kernels.matern_keep_mask(pts, ages, 5.0, cloud * 10 ** 12), expected)
+
+
+@pytest.mark.parametrize("height, over", [(20.2, False), (20.5, True)])
+def test_cell_counts_either_side_of_16_bits_thin_alike(height, over,
+                                                       monkeypatch):
+    # 16 labels of 200 points on a 62.5 x height box at r = 1: 64 columns
+    # of 64 sub-rows (2**16 cells, ids that fit in 16 bits) at height 20.2,
+    # and of 65 sub-rows (66,560 cells) at height 20.5.  Either sort of the
+    # cell ids must give the direct rule's masks
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(0, 1, size=(3200, 2)) * (62.5, height)
+    pts[:2] = [[0.0, 0.0], [62.5, height]]
+    ages = np.floor(rng.random(3200) * 8) / 8
+    label = np.arange(16).repeat(200)
+    seen, cell_order = [], kernels._cell_order
+    monkeypatch.setattr(kernels, "_cell_order", lambda cell, cells:
+                        seen.append(cells) or cell_order(cell, cells))
+    mask = kernels.matern_keep_mask(pts, ages, 1.0, label)
+    assert (seen[0] > 1 << 16) == over and abs(seen[0] - (1 << 16)) < 1100
+    for k in range(16):
+        mine = label == k
+        assert np.array_equal(mask[mine],
+                              matern_mask_by_rows(pts[mine], ages[mine], 1.0))
 
 
 def test_cloud_labels_are_validated():
