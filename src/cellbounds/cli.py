@@ -18,10 +18,12 @@ import math
 import sys
 
 from ._textio import write_lines
-from .bounds import exclusion_radius, interference_bound, legacy_bound
-from .guarantees import (InfeasibleError, criticality_feasible,
-                         critical_power, link_at_snr, rate_always_active,
-                         rate_scheduled, solve_critical_hk)
+from .bounds import (_closed_form, exclusion_radius,
+                     hardcore_regulation_constants)
+from .guarantees import (InfeasibleError, _critical_power_grid,
+                         criticality_feasible, link_at_snr,
+                         rate_always_active, rate_scheduled,
+                         solve_critical_hk)
 from .hexnet import REUSE, hardcore_for_reuse, hex_rate_sweep
 from .pathloss import BoundedPowerLaw, DivergenceError
 
@@ -70,14 +72,14 @@ def _write_csv(args, header: list[str], rows, footer: list[str] = ()) -> None:
 
 
 # %-formats that print a value of exactly this type as _fmt does
-_EXACT_FORMATS = {float: "%.12g", int: "%d"}
+_EXACT_FORMATS = {float: "%.12g", int: "%d", str: "%s", type(None): "%.0s"}
 
 
 def _format_rows(rows):
     """The CSV lines of ``rows``, each ``",".join(map(_fmt, row))``.  A row
-    of exact floats and ints goes through one %-format per sequence of
-    types, built once; any other row (None, bool, numpy scalars) through
-    :func:`_fmt`."""
+    of exact floats, ints, strs and Nones goes through one %-format per
+    sequence of types, built once; any other row (bool, numpy scalars)
+    through :func:`_fmt`."""
     formats = {}
     for row in rows:
         row = tuple(row)
@@ -118,18 +120,23 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 def cmd_bound_compare(args) -> int:
     args.alpha = args.alpha or [2.5, 3.0, 4.0]
     t_grid = _grid(args.t_min, args.t_max, args.t_step)
+    h = args.hardcore
     rows = []
     for alpha in args.alpha:
         model = BoundedPowerLaw(alpha)
-        for t in t_grid:
+        if not rows:
             # sweeping the exclusion radius directly: the serving distance
             # d = t realizes t = max(d, 2h - d) whenever t >= h, and h is
-            # the smallest reachable exclusion radius
-            d = max(t, args.hardcore)
-            t_real = exclusion_radius(d, args.hardcore)
-            rows.append((t_real, alpha,
-                         interference_bound(model, args.hardcore, d),
-                         legacy_bound(model, args.hardcore, d)))
+            # the smallest reachable exclusion radius.  As in
+            # interference_bound(model, h, d), h is checked by the first
+            # radius before its envelope rho_h, nu_h is computed
+            radii = [exclusion_radius(max(t, h), h) for t in t_grid]
+            rho, nu = hardcore_regulation_constants(h)
+        # interference_bound and legacy_bound at d = max(t, h), with the
+        # legacy bound's full-plane term computed once per exponent
+        full_plane = _closed_form(model, 1.0, rho, nu, 0.0)
+        rows += [(t, alpha, _closed_form(model, 0.0, rho, nu, t),
+                  full_plane - model.eval(t)) for t in radii]
     _write_csv(args, ["t", "alpha", "new_bound", "legacy_bound"], rows)
     return EXIT_OK
 
@@ -156,14 +163,13 @@ def cmd_critical_power(args) -> int:
     args.k = args.k or [3, 4]
     link = link_at_snr(args.power, args.d, BoundedPowerLaw(args.alpha),
                        args.snr_db)
+    hk_grid = _grid(args.hk_min, args.hk_max, args.hk_step)
     rows = []
-    for k in args.k:
-        for h_k in _grid(args.hk_min, args.hk_max, args.hk_step):
-            try:
-                p = critical_power(link, args.hardcore, k, h_k)
-                rows.append((k, h_k, p, p <= args.power))
-            except InfeasibleError:
-                rows.append((k, h_k, None, False))
+    for k, h_k, p in _critical_power_grid(link, args.hardcore, args.k,
+                                          hk_grid):
+        feasible = p is not None and p <= args.power
+        # the flag as _fmt prints a bool, but a str, which has an exact format
+        rows.append((k, h_k, p, "true" if feasible else "false"))
     _write_csv(args, ["K", "H_K", "P_K_star", "feasible"], rows)
     return EXIT_OK
 

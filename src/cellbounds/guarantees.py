@@ -29,6 +29,11 @@ class InfeasibleError(ValueError):
     """Requested guarantee cannot be met with the given parameters."""
 
 
+def _check_classes(k: int) -> None:
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+
+
 def _log1p_base(x: float, log_base: str) -> float:
     if log_base == "nat":
         return math.log1p(x)
@@ -85,14 +90,19 @@ def link_at_snr(power: float, distance: float, model: BoundedPowerLaw,
                       model)
 
 
+def _sinr(signal: float, link: LinkBudget, bound: float) -> float:
+    """SINR signal / (P * bound + W) of the received power ``signal`` on the
+    link, against the interference bound ``bound`` per unit of power."""
+    return signal / (link.power * bound + link.noise)
+
+
 def theta(link: LinkBudget, h: float) -> float:
     """Worst-case SINR of the link under h-hardcore regulation.
 
         theta = P l(d) / (P * interference_bound(l, h, d) + W)
     """
     bound = interference_bound(link.model, h, link.distance)
-    signal = link.power * link.model.eval(link.distance)
-    return signal / (link.power * bound + link.noise)
+    return _sinr(link.power * link.model.eval(link.distance), link, bound)
 
 
 def rate_always_active(link: LinkBudget, h: float,
@@ -106,8 +116,7 @@ def rate_scheduled(link: LinkBudget, k: int, h_k: float,
                    log_base: str = "nat") -> float:
     """Normalized-rate guarantee (1/k) log(1 + theta(P, h_k)) under periodic
     scheduling into k classes."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_classes(k)
     return _log1p_base(theta(link, h_k), log_base) / k
 
 
@@ -127,8 +136,7 @@ def solve_critical_hk(link: LinkBudget, h: float, k: int) -> float:
     bisection; theta is strictly increasing in h_k so the root is unique.
     The equation is independent of the logarithm base.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_classes(k)
     if not criticality_feasible(link, h, k):
         raise InfeasibleError(
             f"no critical separation: log(1+SNR) < {k} * log(1+theta)")
@@ -157,6 +165,30 @@ def solve_critical_hk(link: LinkBudget, h: float, k: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def _needed_sir(th: float, k: int) -> float:
+    """SIR (1 + th)^k - 1 that k classes need to match the SINR th."""
+    try:
+        needed = (1 + th) ** k - 1
+    except OverflowError:  # in the limit the SIR is infinite: no power does
+        return math.inf
+    # below th = 2**-53, 1 + th rounds to 1 and the power form to 0
+    return needed or math.expm1(k * math.log1p(th))
+
+
+def _reduced_power(link: LinkBudget, k: int, h_k: float, needed_sir: float,
+                   denom: float) -> float:
+    """P_k* = W / denom, where denom is l(d)/needed_sir minus the
+    interference bound at h_k; InfeasibleError where no power reaches."""
+    if needed_sir == math.inf:
+        raise InfeasibleError(
+            f"no power and no h_k reach the always-active rate at k = {k}: "
+            "it needs an infinite SIR")
+    if denom <= 0:
+        raise InfeasibleError(
+            f"at h_k = {h_k} no power reaches the always-active rate")
+    return link.noise / denom
+
+
 def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> float:
     """Reduced power matching the always-active guarantee under scheduling.
 
@@ -168,20 +200,34 @@ def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> float:
     cannot reach the target at any power, and an infinite needed SIR that
     no separation can.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    th = theta(link, h)
-    try:
-        needed_sir = (1 + th) ** k - 1
-    except OverflowError:  # in the limit the SIR is infinite: no power does
-        needed_sir = math.inf
+    _check_classes(k)
+    needed_sir = _needed_sir(theta(link, h), k)
     denom = (link.model.eval(link.distance) / needed_sir
              - interference_bound(link.model, h_k, link.distance))
-    if needed_sir == math.inf:
-        raise InfeasibleError(
-            f"no power and no h_k reach the always-active rate at k = {k}: "
-            "it needs an infinite SIR")
-    if denom <= 0:
-        raise InfeasibleError(
-            f"at h_k = {h_k} no power reaches the always-active rate")
-    return link.noise / denom
+    return _reduced_power(link, k, h_k, needed_sir, denom)
+
+
+def _critical_power_grid(link: LinkBudget, h: float, ks, hk_grid):
+    """Rows (k, h_k, P_k*) of critical_power(link, h, k, h_k) for each k of
+    ks and each h_k of the non-empty list hk_grid, P_k* None where it is
+    infeasible.
+
+    theta(P, h) is computed once, and each h_k's interference bound once
+    for every k, both after the first k is checked, so an invalid k, h or
+    h_k raises what the first failing call of critical_power would.
+    """
+    bounds = None
+    for k in ks:
+        _check_classes(k)
+        if bounds is None:
+            th = theta(link, h)
+            bounds = [interference_bound(link.model, h_k, link.distance)
+                      for h_k in hk_grid]
+        needed_sir = _needed_sir(th, k)
+        gain = link.model.eval(link.distance) / needed_sir
+        for h_k, bound in zip(hk_grid, bounds):
+            try:
+                power = _reduced_power(link, k, h_k, needed_sir, gain - bound)
+            except InfeasibleError:
+                power = None
+            yield k, h_k, power

@@ -409,7 +409,7 @@ def test_csv_is_written_as_it_is_formatted(tmp_path):
     assert lines[3:] == [",".join(map(cli._fmt, row)) for row in rows]
 
 
-_CELL = (st.floats() | st.integers() | st.none() | st.booleans()
+_CELL = (st.floats() | st.integers() | st.none() | st.booleans() | st.text()
          | st.floats(width=32).map(np.float32) | st.floats().map(np.float64)
          | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
          | st.just(float("nan")) | st.just(-0.0) | st.just(5e-324))
@@ -420,7 +420,8 @@ _CELL = (st.floats() | st.integers() | st.none() | st.booleans()
                      | st.lists(st.floats(), min_size=3, max_size=3),
                      max_size=8))
 @example(rows=[(2 ** 70, 1.5, -0.0), (1, math.inf, -math.inf),
-               (2 ** 70, 1.5, -0.0), (True, 1.5, None), [0.1, 2, 3.0]])
+               (2 ** 70, 1.5, -0.0), (True, 1.5, None), [0.1, 2, 3.0],
+               (3, 2.0, None, "false"), (4, 8.0, 0.5, "true")])
 def test_formatted_rows_equal_the_per_value_format(rows):
     # rows of one sequence of types share a %-format; any other row, and
     # any value of another type, must print as _fmt prints it

@@ -247,6 +247,15 @@ def test_critical_power_boundary_and_infeasible():
         critical_power(link, 2.0, 5000, 8.0)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_critical_power_where_one_plus_theta_rounds_to_one(k):
+    # at -200 dB theta is about 1e-20, so (1 + theta)^k - 1 is 0 in floats;
+    # the needed SIR is about k*theta, and the power about k times P
+    link = reference_link(snr_db=-200.0)
+    assert 1 + theta(link, 2.0) == 1
+    assert critical_power(link, 2.0, k, 4.0) == pytest.approx(k, rel=1e-9)
+
+
 def test_critical_power_round_trip():
     for k in (3, 4):
         for link, h in random_feasible_links(k, 10, seed=200 + k):
