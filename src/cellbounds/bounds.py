@@ -81,6 +81,26 @@ def _closed_form(model: BoundedPowerLaw, sigma: float, rho: float, nu: float,
             + 2 * nu * model.weighted_tail_integral(t))
 
 
+def _exclusion_bound(model: BoundedPowerLaw, rho: float, nu: float,
+                     t: float) -> float:
+    """:func:`interference_bound` at the exclusion radius t, for the
+    envelope rho R + nu R^2."""
+    return _closed_form(model, 0.0, rho, nu, t)
+
+
+def _full_plane_bound(model: BoundedPowerLaw, rho: float,
+                      nu: float) -> float:
+    """The full-plane shot-noise term of :func:`legacy_bound`, for the
+    envelope 1 + rho R + nu R^2; it depends on no distance."""
+    return _closed_form(model, 1.0, rho, nu, 0.0)
+
+
+def _legacy_at(model: BoundedPowerLaw, full_plane: float, t: float) -> float:
+    """:func:`legacy_bound` at the exclusion radius t, from its full-plane
+    term."""
+    return full_plane - model.eval(t)
+
+
 def interference_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     """A.s. bound on total interference at a receiver served from distance d.
 
@@ -96,7 +116,7 @@ def interference_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     """
     t = exclusion_radius(d, h)
     rho, nu = hardcore_regulation_constants(h)
-    return _closed_form(model, 0.0, rho, nu, t)
+    return _exclusion_bound(model, rho, nu, t)
 
 
 def legacy_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
@@ -110,4 +130,4 @@ def legacy_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     """
     t = exclusion_radius(d, h)
     rho, nu = hardcore_regulation_constants(h)
-    return _closed_form(model, 1.0, rho, nu, 0.0) - model.eval(t)
+    return _legacy_at(model, _full_plane_bound(model, rho, nu), t)

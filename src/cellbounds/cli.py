@@ -18,8 +18,8 @@ import math
 import sys
 
 from ._textio import write_lines
-from .bounds import (_closed_form, exclusion_radius,
-                     hardcore_regulation_constants)
+from .bounds import (_exclusion_bound, _full_plane_bound, _legacy_at,
+                     exclusion_radius, hardcore_regulation_constants)
 from .guarantees import (InfeasibleError, _critical_power_grid,
                          criticality_feasible, link_at_snr,
                          rate_always_active, rate_scheduled,
@@ -122,9 +122,12 @@ def cmd_bound_compare(args) -> int:
     t_grid = _grid(args.t_min, args.t_max, args.t_step)
     h = args.hardcore
     rows = []
+    radii = None
     for alpha in args.alpha:
         model = BoundedPowerLaw(alpha)
-        if not rows:
+        if not t_grid:  # no point, so no bound and none of its checks
+            continue
+        if radii is None:
             # sweeping the exclusion radius directly: the serving distance
             # d = t realizes t = max(d, 2h - d) whenever t >= h, and h is
             # the smallest reachable exclusion radius.  As in
@@ -134,9 +137,9 @@ def cmd_bound_compare(args) -> int:
             rho, nu = hardcore_regulation_constants(h)
         # interference_bound and legacy_bound at d = max(t, h), with the
         # legacy bound's full-plane term computed once per exponent
-        full_plane = _closed_form(model, 1.0, rho, nu, 0.0)
-        rows += [(t, alpha, _closed_form(model, 0.0, rho, nu, t),
-                  full_plane - model.eval(t)) for t in radii]
+        full_plane = _full_plane_bound(model, rho, nu)
+        rows += [(t, alpha, _exclusion_bound(model, rho, nu, t),
+                  _legacy_at(model, full_plane, t)) for t in radii]
     _write_csv(args, ["t", "alpha", "new_bound", "legacy_bound"], rows)
     return EXIT_OK
 

@@ -90,19 +90,14 @@ def link_at_snr(power: float, distance: float, model: BoundedPowerLaw,
                       model)
 
 
-def _sinr(signal: float, link: LinkBudget, bound: float) -> float:
-    """SINR signal / (P * bound + W) of the received power ``signal`` on the
-    link, against the interference bound ``bound`` per unit of power."""
-    return signal / (link.power * bound + link.noise)
-
-
 def theta(link: LinkBudget, h: float) -> float:
     """Worst-case SINR of the link under h-hardcore regulation.
 
         theta = P l(d) / (P * interference_bound(l, h, d) + W)
     """
     bound = interference_bound(link.model, h, link.distance)
-    return _sinr(link.power * link.model.eval(link.distance), link, bound)
+    signal = link.power * link.model.eval(link.distance)
+    return signal / (link.power * bound + link.noise)
 
 
 def rate_always_active(link: LinkBudget, h: float,
@@ -209,13 +204,15 @@ def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> float:
 
 def _critical_power_grid(link: LinkBudget, h: float, ks, hk_grid):
     """Rows (k, h_k, P_k*) of critical_power(link, h, k, h_k) for each k of
-    ks and each h_k of the non-empty list hk_grid, P_k* None where it is
-    infeasible.
+    ks and each h_k of the list hk_grid, P_k* None where it is infeasible.
 
     theta(P, h) is computed once, and each h_k's interference bound once
     for every k, both after the first k is checked, so an invalid k, h or
-    h_k raises what the first failing call of critical_power would.
+    h_k raises what the first failing call of critical_power would.  An
+    empty grid makes no call, so it yields nothing and checks nothing.
     """
+    if not hk_grid:
+        return
     bounds = None
     for k in ks:
         _check_classes(k)

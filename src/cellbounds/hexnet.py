@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .bounds import interference_bound
-from .guarantees import _log1p_base, _sinr, link_at_snr
+from .guarantees import link_at_snr, rate_always_active, rate_scheduled
 from .pathloss import BoundedPowerLaw
 
 
@@ -65,11 +64,7 @@ def hex_rate_sweep(a: float, power: float, model: BoundedPowerLaw,
     """Worst-case rate guarantees vs SNR for always-active, reuse-3, reuse-4.
 
     The sweep variable is the vertex-user SNR; the noise power is derived
-    as W = P*l(a)/SNR for each grid point.  Each row equals
-    ``rate_always_active(link, h_1)``, ``rate_scheduled(link, 3, h_3)`` and
-    ``rate_scheduled(link, 4, h_4)`` on that point's link.  The signal
-    P*l(a) and the three interference bounds do not depend on the SNR:
-    they are computed once, after the first link, whose checks come first.
+    as W = P*l(a)/SNR for each grid point.
     """
     h1 = hardcore_for_reuse(a, 1)
     h3 = hardcore_for_reuse(a, 3)
@@ -77,14 +72,10 @@ def hex_rate_sweep(a: float, power: float, model: BoundedPowerLaw,
     rows = []
     for snr_db in snr_db_grid:
         link = link_at_snr(power, a, model, snr_db)
-        if not rows:
-            signal = power * model.eval(a)
-            i1, i3, i4 = (interference_bound(model, h, a)
-                          for h in (h1, h3, h4))
         rows.append(HexRatePoint(
             float(snr_db),
-            _log1p_base(_sinr(signal, link, i1), log_base),
-            _log1p_base(_sinr(signal, link, i3), log_base) / 3,
-            _log1p_base(_sinr(signal, link, i4), log_base) / 4,
+            rate_always_active(link, h1, log_base),
+            rate_scheduled(link, 3, h3, log_base),
+            rate_scheduled(link, 4, h4, log_base),
         ))
     return rows

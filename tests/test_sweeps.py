@@ -1,9 +1,9 @@
 """The four analytic sweeps against the public functions, point by point.
 
-Each sweep computes once what does not depend on its sweep variable; its
-rows must still equal, bit for bit, the rows built from one call of the
-public functions per point, and its errors the errors those calls raise
-first.
+bound-compare and critical-power compute once what does not depend on
+their sweep variable.  Each sweep's rows must equal, bit for bit, the rows
+built from one call of the public functions per point, and its errors the
+errors those calls raise first.
 """
 
 import math
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cellbounds import bounds, cli, guarantees, hexnet
+from cellbounds import bounds, cli, guarantees
 from cellbounds.bounds import (exclusion_radius, interference_bound,
                                legacy_bound)
 from cellbounds.guarantees import (InfeasibleError, critical_power,
@@ -168,8 +168,6 @@ def count_calls(monkeypatch, name, *modules):
 
 
 @pytest.mark.parametrize("command, name, modules, count", [
-    # one bound per reuse factor, not one per SNR point and factor
-    ("hex-sweep", "interference_bound", (hexnet, guarantees), 3),
     # rho_h and nu_h once, not twice per exclusion radius and exponent
     ("bound-compare", "hardcore_regulation_constants", (bounds, cli), 1),
     # theta(P, h) once, not once per row
@@ -189,6 +187,20 @@ def test_critical_power_shares_each_h_k_bound_across_every_k(monkeypatch):
     assert [h_k for _, h_k, _, _ in rows] == hk_grid * 2   # k = 3 and 4
     # theta(P, h) at h = 2, then one bound per h_k
     assert [h for _, h, _ in calls] == [2.0, *hk_grid]
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound-compare", "--hardcore", "0", "--t-min", "1e20", "--t-max", "1e20"),
+    ("bound-compare", "--alpha", "2", "--t-min", "1e20", "--t-max", "1e20"),
+    ("critical-power", "--k", "0", "--hk-min", "1e20", "--hk-max", "1e20"),
+    ("critical-power", "--alpha", "2", "--hk-min", "1e20",
+     "--hk-max", "1e20"),
+    ("hex-sweep", "--alpha", "2", "--snr-min", "1e20", "--snr-max", "1e20"),
+], ids=" ".join)
+def test_empty_grid_checks_no_bound(argv):
+    # the span rounds to no point: no pointwise call, so no error either
+    assert cli._grid(1e20, 1e20, 0.1) == []
+    assert sweep_rows(*argv) == []
 
 
 ERROR_CASES = [
