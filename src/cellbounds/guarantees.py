@@ -94,10 +94,22 @@ def theta(link: LinkBudget, h: float) -> float:
     """Worst-case SINR of the link under h-hardcore regulation.
 
         theta = P l(d) / (P * interference_bound(l, h, d) + W)
+
+    It is computed divided through by P, as l(d) / (bound + W/P), as
+    P * bound overflows for large finite P.  Where the bound is 0 and W/P
+    underflows, theta is the SNR.  A theta that rounds to 0 is a
+    ValueError.
     """
     bound = interference_bound(link.model, h, link.distance)
-    signal = link.power * link.model.eval(link.distance)
-    return signal / (link.power * bound + link.noise)
+    gain = link.model.eval(link.distance)
+    denom = bound + link.noise / link.power
+    th = gain / denom if denom else link.snr
+    if not th:
+        raise ValueError(
+            f"the SINR bound at h = {h} rounds to 0: attenuation {gain:.3g}, "
+            f"interference bound {bound:.3g} and noise-to-power ratio "
+            f"{link.noise / link.power:.3g}")
+    return th
 
 
 def rate_always_active(link: LinkBudget, h: float,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cellbounds.bounds import interference_bound
 from cellbounds.guarantees import (InfeasibleError, LinkBudget,
                                    critical_power, criticality_feasible,
                                    link_at_snr, rate_always_active,
@@ -113,6 +114,11 @@ def test_theta_limits():
     assert theta(noisy, 2.0) < 1e-9
     # huge separation: interference bound vanishes, theta approaches the SNR
     assert theta(link, 1e6) == pytest.approx(link.snr, rel=1e-6)
+    # no interference in float range and W/P below it: theta is the SNR
+    quiet = link_at_snr(1e300, 1e37, BoundedPowerLaw(8.0), 300.0)
+    assert interference_bound(quiet.model, 1e60, quiet.distance) == 0
+    assert quiet.noise / quiet.power == 0
+    assert theta(quiet, 1e60) == quiet.snr == pytest.approx(1e30)
 
 
 def test_theta_strictly_increasing_in_h_and_power():

@@ -239,6 +239,15 @@ ERROR_CASES = [
      "k must be a positive integer"),
     (("critical-power", "--k", "3", "--k", "0", "--alpha", "2"), 2,
      "int r l(r) dr diverges for alpha = 2.0 <= 2"),
+    # a valid link whose always-active SINR bound rounds to 0
+    (("critical-power", "--alpha", "2.1", "--d", "1e140", "--hardcore",
+      "1e-20", "--power", "1e300"), 1,
+     "the SINR bound at h = 1e-20 rounds to 0: attenuation 1e-294, "
+     "interference bound inf and noise-to-power ratio 1e-294"),
+    (("rate-vs-hk", "--alpha", "2.1", "--d", "1e140", "--hardcore",
+      "1e-20", "--power", "1e300"), 1,
+     "the SINR bound at h = 1e-20 rounds to 0: attenuation 1e-294, "
+     "interference bound inf and noise-to-power ratio 1e-294"),
 ]
 
 
@@ -251,3 +260,22 @@ def test_sweep_error_is_the_first_pointwise_error(tmp_path, capsys, argv,
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
     assert not out.exists()
+
+
+def test_rates_and_reduced_powers_scale_with_a_huge_power():
+    # P * bound overflowed at P = 1e300, where theta read 0; the rates
+    # depend only on the SNR, and P_k* scales with P
+    flags = ("--hardcore", "1e-5", "--hk-max", "3")
+    rates = sweep_rows("rate-vs-hk", *flags)
+    huge = sweep_rows("rate-vs-hk", "--power", "1e300", *flags)
+    assert rates[0][2] == pytest.approx(1.03373571062e-11, rel=1e-11)
+    assert rates[0][3] == pytest.approx(1.73205446784e-05, rel=1e-11)
+    assert [v for row in huge for v in row] == pytest.approx(
+        [v for row in rates for v in row], rel=1e-12)
+    powers = sweep_rows("critical-power", *flags)
+    huge = sweep_rows("critical-power", "--power", "1e300", *flags)
+    assert [(k, h_k, ok) for k, h_k, _, ok in huge] == [
+        (k, h_k, ok) for k, h_k, _, ok in powers]
+    assert all(ok == "true" for *_, ok in powers)
+    assert [p / 1e300 for _, _, p, _ in huge] == pytest.approx(
+        [p for _, _, p, _ in powers], rel=1e-12)
