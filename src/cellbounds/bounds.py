@@ -75,9 +75,14 @@ def _closed_form(model: BoundedPowerLaw, sigma: float, rho: float, nu: float,
     integrals of the model:
 
         l(t) G(t) + rho int_t^inf l(r) dr + 2 nu int_t^inf r l(r) dr.
+
+    Where G(t) overflows, l(t) is folded into each of its terms, so a
+    finite l(t) G(t) stays finite.
     """
-    return (model.eval(t) * (sigma + rho * t + nu * t * t)
-            + rho * model.tail_integral(t)
+    lt, g = model.eval(t), sigma + rho * t + nu * t * t
+    boundary = (lt * g if g < math.inf
+                else lt * sigma + rho * (t * lt) + nu * (t * (t * lt)))
+    return (boundary + rho * model.tail_integral(t)
             + 2 * nu * model.weighted_tail_integral(t))
 
 

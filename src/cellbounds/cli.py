@@ -47,10 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    """An option's value as its ``#`` line prints it: a float, int, str or
+    list of them."""
     if isinstance(value, float):
         return f"{value:.12g}"
     if isinstance(value, list):
@@ -71,25 +69,23 @@ def _write_csv(args, header: list[str], rows, footer: list[str] = ()) -> None:
         (f"# {note}" for note in footer)))
 
 
-# %-formats that print a value of exactly this type as _fmt does
+# the %-format of each type a CSV cell can have, matched exactly (a bool
+# or a numpy scalar has none)
 _EXACT_FORMATS = {float: "%.12g", int: "%d", str: "%s", type(None): "%.0s"}
 
 
 def _format_rows(rows):
-    """The CSV lines of ``rows``, each ``",".join(map(_fmt, row))``.  A row
-    of exact floats, ints, strs and Nones goes through one %-format per
-    sequence of types, built once; any other row (bool, numpy scalars)
-    through :func:`_fmt`."""
+    """The CSV lines of ``rows``, whose cells are floats (printed to 12
+    significant digits), ints, strs and Nones (printed empty).  The rows of
+    one sequence of types share one %-format, built once."""
     formats = {}
     for row in rows:
         row = tuple(row)
         types = tuple(map(type, row))
         fmt = formats.get(types)
         if fmt is None:
-            exact = all(t in _EXACT_FORMATS for t in types)
-            fmt = formats[types] = (
-                ",".join(map(_EXACT_FORMATS.get, types)) if exact else "")
-        yield fmt % row if fmt else ",".join(map(_fmt, row))
+            fmt = formats[types] = ",".join(_EXACT_FORMATS[t] for t in types)
+        yield fmt % row
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -171,7 +167,6 @@ def cmd_critical_power(args) -> int:
     for k, h_k, p in _critical_power_grid(link, args.hardcore, args.k,
                                           hk_grid):
         feasible = p is not None and p <= args.power
-        # the flag as _fmt prints a bool, but a str, which has an exact format
         rows.append((k, h_k, p, "true" if feasible else "false"))
     _write_csv(args, ["K", "H_K", "P_K_star", "feasible"], rows)
     return EXIT_OK

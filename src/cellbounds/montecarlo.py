@@ -19,9 +19,10 @@ streams, fixed by the seed and the trial index ``i`` alone:
 * a ball suite draws the trial's ball center from
   ``np.random.default_rng([seed, i, 1])``.
 
-Each shard of trials derives these in one vectorized pass of numpy's
-seeding algorithm (:func:`trial_streams`, :mod:`cellbounds._seeding`), and
-its samples' streams in one more per sampled suite.
+Each shard derives these for all its suites, the only streams their
+records get, in one vectorized pass of numpy's seeding algorithm
+(:func:`trial_streams`, :mod:`cellbounds._seeding`), and its samples'
+streams in one more per sampled suite.
 """
 
 from __future__ import annotations
@@ -176,9 +177,9 @@ class Suite(NamedTuple):
 
     A suite with a ``seed`` draws from its streams (see the module
     docstring), and the ball-center streams too if ``centers`` is true.
-    :func:`run_suites` derives those of all suites in one pass and calls
-    ``records(trial_range, streams)`` with the suite's
-    :class:`TrialStreams`; called with the range alone, it derives them.
+    Each shard derives the streams of all its seeded suites in one pass
+    and always calls ``records(trial_range, streams)`` with the suite's
+    :class:`TrialStreams`; a suite without a seed gets the range alone.
     """
 
     label: str
@@ -259,15 +260,14 @@ def ball_regulation_suite(source, h: float, r_grid, trials: int,
                                  f"balls of radius {max(r_grid)}") from None
     bounds = [ball_count_bound(h, r) for r in r_grid]
     return Suite("ball-regulation", trials,
-                 partial(_ball_records, source, inner, r_grid, bounds, seed),
+                 partial(_ball_records, source, inner, r_grid, bounds),
                  seed, centers=True)
 
 
 def _ball_records(source, inner: Rect, r_grid: list[float],
-                  bounds: list[float], seed: int, trials: range,
-                  streams: TrialStreams | None = None):
+                  bounds: list[float], trials: range, streams: TrialStreams):
     r_max = max(r_grid)
-    seeds, center_words = streams or trial_streams([(seed, trials, True)])[0]
+    seeds, center_words = streams
     centers = []
     for words in center_words:
         rng = _seeding.generator(words)
@@ -302,8 +302,7 @@ def interference_suite(source, h: float, model: BoundedPowerLaw,
     """
     interference_bound(model, h, h)  # a divergent model raises before a trial
     return Suite("interference-bound", trials,
-                 partial(_interference_records, source, h, model, seed),
-                 seed)
+                 partial(_interference_records, source, h, model), seed)
 
 
 def _interference(group: SampleGroup, receivers, alpha: float) -> list:
@@ -321,9 +320,8 @@ def _interference(group: SampleGroup, receivers, alpha: float) -> list:
 
 
 def _interference_records(source, h: float, model: BoundedPowerLaw,
-                          seed: int, trials: range,
-                          streams: TrialStreams | None = None):
-    seeds = (streams or trial_streams([(seed, trials, False)])[0]).seeds
+                          trials: range, streams: TrialStreams):
+    seeds = streams.seeds
     user = source.window.center
     found = []
     for group in source.groups((tseed, None) for tseed in seeds):

@@ -15,6 +15,7 @@ the direct O(n^2) rule instead.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -65,6 +66,19 @@ def conditional_bound_general(model: BoundedPowerLaw,
         lo = 1.0
     total += quad(integrand, lo, radius, **_QUAD_OPTS)[0]
     return boundary + total
+
+
+def exact_bound_alpha4(h: float, t: float) -> Fraction:
+    """``interference_bound`` at alpha = 4 and exclusion radius t >= 1, in
+    exact rational arithmetic on the float rho_h, nu_h and t:
+
+        l(t) (rho t + nu t^2) + rho t^-3 / 3 + 2 nu t^-2 / 2,
+
+    as l(t) = t^-4, int_t^inf l = t^-3 / 3 and int_t^inf r l = t^-2 / 2.
+    """
+    rho, nu = map(Fraction, hardcore_regulation_constants(h))
+    t = Fraction(t)
+    return (rho * t + nu * t * t) / t ** 4 + rho / (3 * t ** 3) + nu / t ** 2
 
 
 def matern_oracle(intensity: float, hardcore_radius: float,

@@ -10,7 +10,8 @@ from cellbounds.bounds import (ball_count_bound, exclusion_radius,
                                hardcore_regulation_constants,
                                interference_bound, legacy_bound)
 from cellbounds.pathloss import BoundedPowerLaw, DivergenceError
-from oracles import conditional_bound_general, interferer_envelope
+from oracles import (conditional_bound_general, exact_bound_alpha4,
+                     interferer_envelope)
 
 D_HEX = 4 / math.sqrt(3.0)
 
@@ -125,6 +126,15 @@ def test_interference_bound_frozen_values():
         0.00678159525669709, rel=1e-12)
     with pytest.raises(DivergenceError):
         interference_bound(BoundedPowerLaw(2.0), 1.0, 1.0)
+
+
+def test_interference_bound_is_finite_where_its_envelope_overflows():
+    # nu_h t^2 is about 9e313 here, beyond float range, while the bound,
+    # whose terms each carry l(t) = t^-4, is about 1.8e6
+    value = interference_bound(BoundedPowerLaw(4), 1e-80, 1e77)
+    assert value == pytest.approx(float(exact_bound_alpha4(1e-80, 1e77)),
+                                  rel=1e-14)
+    assert value == pytest.approx(1813799.364234218, rel=1e-14)
 
 
 def test_legacy_bound_frozen_values():

@@ -5,7 +5,9 @@ edit, and ``verify --trials 200 --seed 42`` runs on it (its forked workers
 inherit the patch).  A killed mutant makes ``verify`` exit 3, with
 violations in the suite named beside it.  A surviving mutant is a strict
 xfail whose reason says why the certifier misses it, so a change that
-kills it shows up as an XPASS.
+kills it shows up as an XPASS.  Three survivors are unkillable: their
+mutated bound still holds for every configuration, and their reasons give
+the proof.
 """
 
 import re
@@ -88,7 +90,13 @@ MUTANTS = [
                constants_times(rho=c),
                "the tightest ball count, 60 lattice points at R = 16, "
                "exceeds its bound only with rho_h scaled below 0.07")
-      for c in (0.5, 0.7, 0.9)),
+      for c in (0.5, 0.7)),
+    survives("rho*0.9", bounds, "hardcore_regulation_constants",
+             constants_times(rho=0.9),
+             "unkillable: by Oler's inequality a closed ball of radius R "
+             "holds at most 1 + pi R / (2h) + nu_h R^2 points of a "
+             "2h-hardcore set, and pi / (2h) = (sqrt(3)/2) rho_h is below "
+             "0.9 rho_h"),
     survives("sigma_dropped", montecarlo, "ball_count_bound",
              lambda f: lambda h, r: f(h, r) - 1,
              "every ball count is at least 2.7 points below its bound"),
@@ -96,12 +104,14 @@ MUTANTS = [
              "theta is at most 0.897 of the achieved SINR, at reuse 4"),
     survives("nearest_without_tie_break", pointset, "_nearest",
              without_tie_break,
-             "a tie only swaps equally near serving points, and the bound "
-             "holds for each of them"),
+             "unkillable: the bound holds for every nearest association, "
+             "and a tie only swaps equally near serving points"),
     survives("squared_limits_slack_flipped", pointset, "_squared_limits",
              slack_flipped,
-             "ball centers are uniform, so no point lies within the 1e-12 "
-             "slack of a ball's boundary"),
+             "unkillable: by Oler's inequality a ball of radius R holds "
+             "at least (1 - sqrt(3)/2) rho_h R points fewer than its bound, "
+             "a margin that outweighs a widening of 1e-12 of R for any R "
+             "below about 1e11 h; verify's balls have R <= 8h"),
     survives("rate_scheduled_without_1/k", guarantees, "rate_scheduled",
              lambda f: lambda link, k, h_k, log_base="nat": f(link, 1, h_k,
                                                               log_base),

@@ -315,36 +315,46 @@ def test_matern_ball_check_local_path_matches_full_samples():
     assert sum(r.realized for r in local.records) > 0
 
 
+def shard_records(suites, trials):
+    """Each suite's records and skipped count over ``trials``, from the
+    shard that runs them in ``verify``: one seeding pass for all of them."""
+    done, exc = montecarlo._run_shard(suites, trials)
+    assert exc is None
+    return [([TrialRecord(*r) for r in zip(*columns)], skipped)
+            for columns, skipped in done]
+
+
 @pytest.mark.parametrize("intensity, budget", [(0.1, 2000), (0.1, 1),
                                                (1.2e-4, 3)])
 def test_grouped_suites_match_plain_factory(monkeypatch, intensity, budget):
     # budget 2000 puts about two full samples or a dozen local ones in a
     # group; at intensity 1.2e-4 a sample holds about one point, so some
-    # groups hold an empty sample
+    # groups hold an empty sample.  The two suites' streams come from one
+    # seeding pass, with and without the ball centers
     monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
     factory = matern_factory(intensity, 4.0, Rect(0, 100, 0, 100))
-    skipped = 0
-    for grouped, oracle in (
-            (ball_regulation_suite(factory, 2.0, R_GRID, 30, 21), ball_oracle),
-            (interference_suite(factory, 2.0, MODEL, 30, 21),
-             interference_oracle)):
-        for a, b in [(0, 30), (1, 4), (3, 30), (5, 6), (7, 7), (11, 29)]:
-            assert grouped.records(range(a, b)) == oracle(factory, 2.0, 21,
-                                                          range(a, b))
-        skipped += grouped.records(range(30))[1]
+    suites = [ball_regulation_suite(factory, 2.0, R_GRID, 30, 21),
+              interference_suite(factory, 2.0, MODEL, 30, 22)]
+    for a, b in [(0, 30), (1, 4), (3, 30), (5, 6), (7, 7), (11, 29)]:
+        assert shard_records(suites, range(a, b)) == [
+            ball_oracle(factory, 2.0, 21, range(a, b)),
+            interference_oracle(factory, 2.0, 22, range(a, b))]
+    skipped = shard_records(suites, range(30))[1][1]
     assert (skipped > 0) == (intensity < 0.01)
 
 
 @pytest.mark.parametrize("budget", [4000, 1000, 1])
 def test_lattice_ball_suite_matches_plain_factory(monkeypatch, budget):
     # a group holds 9, 3 or 1 copies of the 472-site lattice, one per center:
-    # it closes at the first copy that reaches the budget
+    # it closes at the first copy that reaches the budget.  The two suites'
+    # streams, centers included, come from one seeding pass
     monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
     lattice = lattice_factory(A_HEX, 40.0)
-    suite = ball_regulation_suite(lattice, 2.0, R_GRID, 30, 4)
+    suites = [ball_regulation_suite(lattice, 2.0, R_GRID, 30, seed)
+              for seed in (4, 5)]
     for a, b in [(0, 30), (1, 4), (7, 7), (11, 29)]:
-        assert suite.records(range(a, b)) == ball_oracle(lattice, 2.0, 4,
-                                                         range(a, b))
+        assert shard_records(suites, range(a, b)) == [
+            ball_oracle(lattice, 2.0, seed, range(a, b)) for seed in (4, 5)]
 
 
 def test_check_wrappers_are_the_same_for_any_worker_count(monkeypatch):

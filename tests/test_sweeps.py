@@ -22,6 +22,7 @@ from cellbounds.guarantees import (InfeasibleError, critical_power,
                                    solve_critical_hk)
 from cellbounds.hexnet import HexRatePoint, hardcore_for_reuse
 from cellbounds.pathloss import BoundedPowerLaw
+from oracles import exact_bound_alpha4
 
 A_HEX = 4 / math.sqrt(3.0)
 
@@ -241,13 +242,13 @@ ERROR_CASES = [
      "int r l(r) dr diverges for alpha = 2.0 <= 2"),
     # a valid link whose always-active SINR bound rounds to 0
     (("critical-power", "--alpha", "2.1", "--d", "1e140", "--hardcore",
-      "1e-20", "--power", "1e300"), 1,
-     "the SINR bound at h = 1e-20 rounds to 0: attenuation 1e-294, "
-     "interference bound inf and noise-to-power ratio 1e-294"),
+      "1e-25", "--power", "1e300"), 1,
+     "the SINR bound at h = 1e-25 rounds to 0: attenuation 1e-294, "
+     "interference bound 1.9e+37 and noise-to-power ratio 1e-294"),
     (("rate-vs-hk", "--alpha", "2.1", "--d", "1e140", "--hardcore",
-      "1e-20", "--power", "1e300"), 1,
-     "the SINR bound at h = 1e-20 rounds to 0: attenuation 1e-294, "
-     "interference bound inf and noise-to-power ratio 1e-294"),
+      "1e-25", "--power", "1e300"), 1,
+     "the SINR bound at h = 1e-25 rounds to 0: attenuation 1e-294, "
+     "interference bound 1.9e+37 and noise-to-power ratio 1e-294"),
 ]
 
 
@@ -279,3 +280,27 @@ def test_rates_and_reduced_powers_scale_with_a_huge_power():
     assert all(ok == "true" for *_, ok in powers)
     assert [p / 1e300 for _, _, p, _ in huge] == pytest.approx(
         [p for _, _, p, _ in powers], rel=1e-12)
+
+
+def test_bound_compare_is_finite_where_the_envelope_overflows():
+    # nu_h t^2 overflows at h = 1e-100 and t = 1e60, where the bound is
+    # about 1.8e80; the legacy bound never evaluates the envelope there
+    rows = sweep_rows("bound-compare", "--hardcore", "1e-100", "--t-min",
+                      "1e60", "--t-max", "2e60", "--t-step", "1e60",
+                      "--alpha", "4")
+    assert [t for t, *_ in rows] == [1e60, 2e60]
+    for t, _, new, legacy in rows:
+        assert new == pytest.approx(float(exact_bound_alpha4(1e-100, t)),
+                                    rel=1e-14)
+        assert new < legacy < math.inf
+    assert rows[0][2] == pytest.approx(1.81379936423e+80, rel=1e-11)
+
+
+@pytest.mark.parametrize("sweep", ["critical-power", "rate-vs-hk"])
+def test_far_link_at_a_huge_power_has_finite_rows(sweep):
+    # the interference bound at h = 1e-20 and t = 1e140 overflowed to inf,
+    # so theta read 0 and the command failed; each of its terms is finite
+    rows = sweep_rows(sweep, "--alpha", "2.1", "--d", "1e140", "--hardcore",
+                      "1e-20", "--power", "1e300")
+    cells = [v for row in rows for v in row if not isinstance(v, str)]
+    assert rows and all(0 < v < math.inf for v in cells)
