@@ -76,14 +76,17 @@ def _closed_form(model: BoundedPowerLaw, sigma: float, rho: float, nu: float,
 
         l(t) G(t) + rho int_t^inf l(r) dr + 2 nu int_t^inf r l(r) dr.
 
-    Where G(t) overflows, l(t) is folded into each of its terms, so a
-    finite l(t) G(t) stays finite.
+    For t >= 1, t l(t) = (alpha - 1) int_t^inf l and t^2 l(t) = (alpha - 2)
+    int_t^inf r l turn it into sigma l(t) + alpha (rho int_t^inf l + nu
+    int_t^inf r l), which stays right where G(t) overflows or l(t)
+    underflows.
     """
-    lt, g = model.eval(t), sigma + rho * t + nu * t * t
-    boundary = (lt * g if g < math.inf
-                else lt * sigma + rho * (t * lt) + nu * (t * (t * lt)))
-    return (boundary + rho * model.tail_integral(t)
-            + 2 * nu * model.weighted_tail_integral(t))
+    tail, weighted = model.tail_integral(t), model.weighted_tail_integral(t)
+    if t >= 1:
+        return (sigma * model.eval(t)
+                + model.alpha * (rho * tail + nu * weighted))
+    return (model.eval(t) * (sigma + rho * t + nu * t * t) + rho * tail
+            + 2 * nu * weighted)
 
 
 def _exclusion_bound(model: BoundedPowerLaw, rho: float, nu: float,

@@ -14,8 +14,9 @@ receiver, as :func:`sq_dists` computes them.
 when each point carries the label of its sample: the label is part of the
 cell id, so points of different samples are never paired, and the fixed
 cost of a call (about 90 us) is paid once per group of samples instead
-of once per sample.  :func:`cellbounds.pointset.matern_groups` fills
-each group up to a budget of Poisson points.  :func:`min_same_mark_sq_dist`
+of once per sample.  :meth:`cellbounds.pointset.MaternSource.groups`
+fills each group up to a budget of Poisson points, each sample drawn
+from the ready PCG64 seeding words of its ``(words, near)`` draw.  :func:`min_same_mark_sq_dist`
 labels the points by mark the same way, so all marks are searched at once.
 
 A call writes few pages, and later batches and calls write the same ones:

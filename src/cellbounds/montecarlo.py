@@ -15,14 +15,15 @@ streams, fixed by the seed and the trial index ``i`` alone:
 * the trial seed, recorded with each of the trial's records, is word 0 of
   ``np.random.SeedSequence([seed, i])``, :func:`trial_seed`;
 * the trial's sample is drawn from ``np.random.default_rng(trial seed)``
-  (see :func:`cellbounds.pointset.matern_groups`);
+  (see :class:`cellbounds.pointset.MaternSource`);
 * a ball suite draws the trial's ball center from
   ``np.random.default_rng([seed, i, 1])``.
 
 Each shard derives these for all its suites, the only streams their
-records get, in one vectorized pass of numpy's seeding algorithm
-(:func:`trial_streams`, :mod:`cellbounds._seeding`), and its samples'
-streams in one more per sampled suite.
+records get, in two vectorized passes of numpy's seeding algorithm
+(:func:`trial_streams`, :mod:`cellbounds._seeding`): one for the trial
+seeds and ball centers, and one for the samples, which the trial seeds
+seed.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from .bounds import ball_count_bound, exclusion_radius, interference_bound
 from .guarantees import link_at_snr, theta
 from .hexnet import hardcore_for_reuse
 from .pathloss import BoundedPowerLaw
-from .pointset import (MarkedPointSet, Rect, SampleGroup, check_matern,
-                       color_lattice, gen_matern_ii, gen_triangular_lattice,
-                       matern_groups, nearest_index)
+from .pointset import (MarkedPointSet, MaternSource, Rect, SampleGroup,
+                       color_lattice, gen_triangular_lattice, nearest_index)
 
 VIOLATION_REL_TOL = 1e-12
 
@@ -105,58 +105,53 @@ def _finalize(label: str, trials: int, records: list[TrialRecord],
 def trial_seed(seed: int, index: int) -> int:
     """Per-trial seed, stable in (seed, index) and independent of call order:
     word 0 of ``SeedSequence([seed, index])``."""
-    return _seeding.first_words(_seeding.states([(seed, index)]))[0]
+    return trial_streams([(seed, range(index, index + 1))])[0].seeds[0]
 
 
 class TrialStreams(NamedTuple):
-    """The streams of a range of trials of one seed: the trial seeds, and
-    the PCG64 words of the ball-center streams, one row per trial (none if
-    not asked for)."""
+    """The streams of a range of trials of one seed, one entry per trial:
+    the trial seeds, and the PCG64 words of the ball-center streams and of
+    the samples' streams, a row each."""
 
     seeds: list[int]
     centers: np.ndarray
+    samples: np.ndarray
 
 
 def trial_streams(requests) -> list[TrialStreams]:
-    """The :class:`TrialStreams` of each ``(seed, trials, centers)`` request,
-    with the ball-center streams only where ``centers`` is true, all from
-    one pass of :func:`cellbounds._seeding.states`."""
-    rows = []
-    for seed, trials, centers in requests:
-        rows += [(seed, i) for i in trials]
-        rows += [(seed, i, 1) for i in trials] if centers else []
+    """The :class:`TrialStreams` of each ``(seed, trials)`` request, from
+    two passes of :func:`cellbounds._seeding.states`: the trial seeds and
+    ball centers of every request, then the samples of their trial seeds."""
+    requests = list(requests)
+    rows = [(seed, i, *tail) for tail in ((), (1,))
+            for seed, trials in requests for i in trials]
     words = _seeding.states(rows)
+    n = len(rows) // 2
+    seeds = _seeding.first_words(words[:n])
+    samples = _seeding.states([(tseed,) for tseed in seeds])
     streams, first = [], 0
-    for seed, trials, centers in requests:
+    for _, trials in requests:
         stop = first + len(trials)
-        end = stop + len(trials) if centers else stop
-        streams.append(TrialStreams(_seeding.first_words(words[first:stop]),
-                                    words[stop:end]))
-        first = end
+        streams.append(TrialStreams(seeds[first:stop],
+                                    words[n + first:n + stop],
+                                    samples[first:stop]))
+        first = stop
     return streams
 
 
 # A source of configurations for the checks below has a ``window`` its
 # points lie in, ``groups(draws)``, which yields the samples of the
-# ``(seed, near)`` pairs of ``draws`` as SampleGroups, in order, and
-# ``source(seed)``, the sample of one seed.  ``near`` is None or
-# ``(center, reach)``; a source may then leave out the points farther than
+# ``(words, near)`` pairs of ``draws`` as SampleGroups, in order, and
+# ``source(seed)``, the sample of one seed.  ``words`` seed the sample's
+# stream (a row of TrialStreams.samples); ``near`` is None or ``(center,
+# reach)``, and a source may then leave out the points farther than
 # ``reach`` from ``center`` in the max norm.  A MarkedPointSet is a source,
-# the same sample for every seed, and matern_factory returns the other.
+# the same sample for every draw, and a MaternSource is the other.
 
-def matern_factory(intensity: float, hardcore_radius: float, window: Rect):
-    """Source of Matern type-II samples on the window.
-
-    Its groups are thinned together and hold only the points within reach
-    of ``near`` (see :func:`cellbounds.pointset.matern_groups`).
-    """
-    check_matern(intensity, hardcore_radius, window)
-
-    def make(seed: int) -> MarkedPointSet:
-        return gen_matern_ii(intensity, hardcore_radius, window, seed)
-    make.window = window
-    make.groups = partial(matern_groups, intensity, hardcore_radius, window)
-    return make
+def matern_factory(intensity: float, hardcore_radius: float,
+                   window: Rect) -> MaternSource:
+    """Source of Matern type-II samples on the window."""
+    return MaternSource(intensity, hardcore_radius, window)
 
 
 def lattice_factory(a: float, half_width: float, k: int = 1):
@@ -176,17 +171,16 @@ class Suite(NamedTuple):
     ranges, concatenated in order, are those of ``range(trials)``.
 
     A suite with a ``seed`` draws from its streams (see the module
-    docstring), and the ball-center streams too if ``centers`` is true.
-    Each shard derives the streams of all its seeded suites in one pass
-    and always calls ``records(trial_range, streams)`` with the suite's
-    :class:`TrialStreams`; a suite without a seed gets the range alone.
+    docstring).  Each shard derives the streams of all its seeded suites
+    in two passes and always calls ``records(trial_range, streams)`` with
+    the suite's :class:`TrialStreams`; a suite without a seed gets the
+    range alone.
     """
 
     label: str
     trials: int
     records: Callable[..., tuple[list[TrialRecord], int]]
     seed: int | None = None
-    centers: bool = False
 
 
 def run_suites(suites: list[Suite]) -> list[VerificationReport]:
@@ -218,7 +212,7 @@ def run_suites(suites: list[Suite]) -> list[VerificationReport]:
 def _run_shard(suites: list[Suite], shard: range):
     """Records and skipped counts of each suite over the trials in shard,
     up to the first suite that raises, and that exception or None.  The
-    streams of every seeded suite come first, from one pass.
+    streams of every seeded suite come first, from two passes.
 
     The records of a suite are given as the columns of
     :class:`TrialRecord`, which a forked shard pickles in a fraction of
@@ -228,8 +222,7 @@ def _run_shard(suites: list[Suite], shard: range):
     done = []
     try:  # run_suites raises the exception if no earlier one
         streams = iter(trial_streams(
-            [(suite.seed, trials, suite.centers)
-             for suite, trials in zip(suites, ranges)
+            [(suite.seed, trials) for suite, trials in zip(suites, ranges)
              if suite.seed is not None]))
         for suite, trials in zip(suites, ranges):
             args = (trials,) if suite.seed is None else (trials, next(streams))
@@ -261,25 +254,24 @@ def ball_regulation_suite(source, h: float, r_grid, trials: int,
     bounds = [ball_count_bound(h, r) for r in r_grid]
     return Suite("ball-regulation", trials,
                  partial(_ball_records, source, inner, r_grid, bounds),
-                 seed, centers=True)
+                 seed)
 
 
 def _ball_records(source, inner: Rect, r_grid: list[float],
                   bounds: list[float], trials: range, streams: TrialStreams):
     r_max = max(r_grid)
-    seeds, center_words = streams
     centers = []
-    for words in center_words:
+    for words in streams.centers:
         rng = _seeding.generator(words)
         centers.append((rng.uniform(inner.xmin, inner.xmax),
                         rng.uniform(inner.ymin, inner.ymax)))
     counts = []
-    for group in source.groups(
-            (tseed, (center, r_max)) for tseed, center in zip(seeds, centers)):
+    for group in source.groups((words, (center, r_max)) for words, center
+                               in zip(streams.samples, centers)):
         counts += group.ball_counts(
             centers[len(counts):len(counts) + len(group)], r_grid)
     records = [TrialRecord(tseed, r, r, float(count), bound)
-               for tseed, row in zip(seeds, counts)
+               for tseed, row in zip(streams.seeds, counts)
                for r, count, bound in zip(r_grid, row, bounds)]
     return records, 0
 
@@ -321,13 +313,12 @@ def _interference(group: SampleGroup, receivers, alpha: float) -> list:
 
 def _interference_records(source, h: float, model: BoundedPowerLaw,
                           trials: range, streams: TrialStreams):
-    seeds = streams.seeds
     user = source.window.center
     found = []
-    for group in source.groups((tseed, None) for tseed in seeds):
+    for group in source.groups((words, None) for words in streams.samples):
         found += _interference(group, [user] * len(group), model.alpha)
     records = [_interference_record(tseed, model, h, *hit)
-               for tseed, hit in zip(seeds, found) if hit is not None]
+               for tseed, hit in zip(streams.seeds, found) if hit is not None]
     return records, found.count(None)
 
 

@@ -4,11 +4,13 @@ Triangular lattices with reuse colorings, Matern type-II hardcore samples,
 and the geometric queries the Monte Carlo checks rely on (nearest point,
 open-ball counts, hardcore verification).
 
-Matern samples are drawn one seed at a time but thinned in groups
-(:func:`matern_groups`): consecutive samples are thinned in one labelled
-kernel call once the Poisson points they thin reach ``GROUP_POINTS``, and
-the queries on a :class:`SampleGroup` answer for all of its samples in
-one pass.  A sample is the same whichever group it falls in.
+Matern samples are drawn one stream at a time but thinned in groups
+(:meth:`MaternSource.groups`): consecutive samples are thinned in one
+labelled kernel call once the Poisson points they thin reach
+``GROUP_POINTS``, and the queries on a :class:`SampleGroup` answer for all
+of its samples in one pass.  A sample is the same whichever group it falls
+in.  Its stream is seeded by ready PCG64 words, which the caller derives
+for all of its samples at once (see :mod:`cellbounds._seeding`).
 
 Geometric comparisons carry a 1e-12 relative slack so that lattice points
 whose exact distance is, say, 4 but whose floating-point distance lands at
@@ -31,10 +33,10 @@ from ._textio import opened, write_lines
 from .hexnet import hardcore_for_reuse, reuse
 
 _REL_SLACK = 1e-12
-# Relative inflation of the reach of a local Matern sample (see matern_groups).
+# Relative inflation of the reach of a local Matern sample (see MaternSource).
 _REACH_SLACK = 1e-9
 # Points a group of samples reaches before it closes (see _grouped): for
-# matern_groups the Poisson points thinned in one kernel call, about 4 full
+# Matern samples the Poisson points thinned in one kernel call, about 4 full
 # samples at the verify defaults or 25 of the ball suite's local ones, so
 # the call's fixed cost, about 90 us, is paid once per group.  A budget of
 # 16,000 made `verify` faster still, but added 2.3 MB to its peak memory
@@ -146,6 +148,76 @@ class MarkedPointSet:
                                  [len(self)] * len(batch))
 
 
+@dataclass(frozen=True)
+class MaternSource:
+    """Matern type-II hardcore samples on a window.
+
+    A homogeneous Poisson sample of the given intensity is drawn on the
+    window inflated by ``hardcore_radius`` (so boundary points see all of
+    their potential killers), each point gets an independent uniform age,
+    and a point is retained iff no point of smaller age lies within
+    ``hardcore_radius``.  The retained set is clipped back to the window;
+    its minimum pairwise distance is >= hardcore_radius.
+
+    Building the source checks that both parameters are finite and
+    positive, and that the Poisson mean on the expanded window is finite
+    and at most 2**62, below numpy's Poisson limit of about 9.2e18.
+    """
+
+    intensity: float
+    hardcore_radius: float
+    window: Rect
+
+    def __post_init__(self):
+        if not (math.isfinite(self.intensity)
+                and math.isfinite(self.hardcore_radius)):
+            raise ValueError("intensity and hardcore radius must be finite")
+        if self.intensity <= 0:
+            raise ValueError("intensity must be positive")
+        if self.hardcore_radius <= 0:
+            raise ValueError("hardcore radius must be positive")
+        area = self.window.expand(self.hardcore_radius).area
+        mean = self.intensity * area
+        if not mean <= 2 ** 62:
+            limit = "is above 2**62" if mean < math.inf else "is not finite"
+            raise ValueError(f"the mean number of Poisson points, intensity "
+                             f"{self.intensity} times area {area}, {limit}")
+
+    def __call__(self, seed: int) -> MarkedPointSet:
+        """The sample drawn from ``np.random.default_rng(seed)``."""
+        (group,) = self.groups([(_seeding.states([(seed,)])[0], None)])
+        return MarkedPointSet(group.points, np.ones(len(group.points),
+                                                    dtype=np.int64),
+                              self.window)
+
+    def groups(self, draws: Iterable) -> Iterator["SampleGroup"]:
+        """The samples of the ``(words, near)`` pairs of ``draws``, in
+        groups (see :func:`_grouped`) that are each thinned in one labelled
+        call of :func:`cellbounds.kernels.matern_keep_mask`.  ``words``, a
+        row of :func:`cellbounds._seeding.states`, seed the sample's stream.
+
+        With ``near=(center, reach)``, not None, the sample is the full one
+        restricted to the closed square of half-width ``reach`` around
+        ``center``: the same points in the same order.  A point's fate
+        depends only on the Poisson points within ``hardcore_radius`` of
+        it, so only those within ``reach + hardcore_radius`` of the center
+        (in the max norm) are thinned.  The whole Poisson sample is still
+        drawn, so the stream is the same as without ``near``.
+        """
+        ext = self.window.expand(self.hardcore_radius)
+        mean = self.intensity * ext.area
+        samples = (_draw(ext, mean, self.hardcore_radius, words, near)
+                   for words, near in draws)
+        for batch in _grouped(samples, lambda sample: len(sample[1])):
+            yield _thin(self.hardcore_radius, self.window, batch)
+
+
+def gen_matern_ii(intensity: float, hardcore_radius: float, window: Rect,
+                  seed: int) -> MarkedPointSet:
+    """The :class:`MaternSource` sample of one seed."""
+    return MaternSource(intensity, hardcore_radius, window)(seed)
+
+
 def gen_triangular_lattice(a: float, window: Rect) -> MarkedPointSet:
     """All triangular-lattice sites inside the window, marks all 1.
 
@@ -252,28 +324,6 @@ def _nearest(points: np.ndarray, d2: np.ndarray) -> int:
     return int(tied[0])
 
 
-def check_matern(intensity: float, hardcore_radius: float,
-                 window: Rect) -> None:
-    """Raise ValueError unless both Matern parameters are finite and
-    positive, and so is the Poisson mean on the window they expand, which
-    must also be at most 2**62: below numpy's Poisson limit of about
-    9.2e18, and far above any sample that fits in memory."""
-    if not (math.isfinite(intensity) and math.isfinite(hardcore_radius)):
-        raise ValueError("intensity and hardcore radius must be finite")
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
-    if hardcore_radius <= 0:
-        raise ValueError("hardcore radius must be positive")
-    area = window.expand(hardcore_radius).area
-    mean = intensity * area
-    if not math.isfinite(mean):
-        raise ValueError(f"the mean number of Poisson points, intensity "
-                         f"{intensity} times area {area}, is not finite")
-    if mean > 2 ** 62:
-        raise ValueError(f"the mean number of Poisson points, intensity "
-                         f"{intensity} times area {area}, is above 2**62")
-
-
 def _grouped(samples: Iterable, size) -> Iterator[list]:
     """Consecutive ``samples`` in lists, each closed as soon as the
     ``size`` of its samples sums to ``GROUP_POINTS``."""
@@ -287,38 +337,6 @@ def _grouped(samples: Iterable, size) -> Iterator[list]:
             batch, total = [], 0
     if batch:
         yield batch
-
-
-def matern_groups(intensity: float, hardcore_radius: float, window: Rect,
-                  draws: Iterable) -> Iterator[SampleGroup]:
-    """Matern type-II samples (see :func:`gen_matern_ii`), a group at a time.
-
-    ``draws`` gives one ``(seed, near)`` pair per sample, ``near`` being
-    ``None`` or ``(center, reach)``.  The samples' streams are derived in
-    one pass over ``draws`` (see :mod:`cellbounds._seeding`).  Samples are
-    drawn in order, grouped by their Poisson points to be thinned (see
-    :func:`_grouped`), and each group is thinned in one labelled call of
-    :func:`cellbounds.kernels.matern_keep_mask`.  Each yielded group holds
-    the retained points of its samples, equal point for point to
-    :func:`gen_matern_ii` of the same seed.
-
-    With ``near=(center, reach)`` the sample is the full one restricted to
-    the closed square of half-width ``reach`` around ``center``: the same
-    points in the same order.  The thinning has finite range, since whether
-    a point is retained depends only on the Poisson points within
-    ``hardcore_radius`` of it, so only the Poisson points within ``reach +
-    hardcore_radius`` of the center (in the max norm) are thinned.  The
-    whole Poisson sample is still drawn, so the random stream is the same
-    as without ``near``.
-    """
-    check_matern(intensity, hardcore_radius, window)
-    ext = window.expand(hardcore_radius)
-    draws = list(draws)
-    streams = _seeding.states([(seed,) for seed, _ in draws])
-    samples = (_draw(ext, intensity * ext.area, hardcore_radius, words, near)
-               for words, (_, near) in zip(streams, draws))
-    for batch in _grouped(samples, lambda sample: len(sample[1])):
-        yield _thin(hardcore_radius, window, batch)
 
 
 def _draw(ext: Rect, mean: float, hardcore_radius: float, words, near):
@@ -356,26 +374,6 @@ def _thin(hardcore_radius: float, window: Rect, batch: list) -> SampleGroup:
     return SampleGroup.of(points.compress(keep, axis=0),
                           np.bincount(label.compress(keep),
                                       minlength=len(sizes)))
-
-
-def gen_matern_ii(intensity: float, hardcore_radius: float, window: Rect,
-                  seed: int) -> MarkedPointSet:
-    """Sample a Matern type-II hardcore process on the window.
-
-    A homogeneous Poisson sample of the given intensity is drawn on the
-    window inflated by ``hardcore_radius`` (so boundary points see all of
-    their potential killers), each point gets an independent uniform age,
-    and a point is retained iff no point of smaller age lies within
-    ``hardcore_radius``.  The retained set is clipped back to the window;
-    its minimum pairwise distance is >= hardcore_radius.  Bit-reproducible
-    for a fixed seed.
-
-    This is the one-sample case of :func:`matern_groups`.
-    """
-    (group,) = matern_groups(intensity, hardcore_radius, window,
-                             [(seed, None)])
-    return MarkedPointSet(group.points, np.ones(len(group.points),
-                                                dtype=np.int64), window)
 
 
 def verify_hardcore(ps: MarkedPointSet, min_dist: float) -> bool:

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -128,13 +129,38 @@ def test_interference_bound_frozen_values():
         interference_bound(BoundedPowerLaw(2.0), 1.0, 1.0)
 
 
-def test_interference_bound_is_finite_where_its_envelope_overflows():
-    # nu_h t^2 is about 9e313 here, beyond float range, while the bound,
-    # whose terms each carry l(t) = t^-4, is about 1.8e6
-    value = interference_bound(BoundedPowerLaw(4), 1e-80, 1e77)
-    assert value == pytest.approx(float(exact_bound_alpha4(1e-80, 1e77)),
-                                  rel=1e-14)
-    assert value == pytest.approx(1813799.364234218, rel=1e-14)
+@pytest.mark.parametrize("h, d, expected", [
+    # nu_h t^2 is about 9e313, beyond float range
+    (1e-80, 1e77, 1813799.364234218),
+    # l(t) = t^-4 underflows to 0, which dropped the boundary term l(t) G(t)
+    # and halved the bound
+    (1.0, 1e100, 1.813799364234218e-200),
+    # both at once: the parent's l(t) G(t) was 0 * inf
+    (1e-100, 1e90, 1.813799364234218e20),
+], ids=["G-overflows", "l-underflows", "both"])
+def test_interference_bound_is_finite_where_its_envelope_overflows(h, d,
+                                                                   expected):
+    value = interference_bound(BoundedPowerLaw(4), h, d)
+    # abs=0: approx's default absolute tolerance would pass any tiny value
+    assert value == pytest.approx(float(exact_bound_alpha4(h, d)), rel=1e-14,
+                                  abs=0)
+    assert value == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+_LOG_UNIFORM = st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=_LOG_UNIFORM, d=_LOG_UNIFORM)
+def test_interference_bound_equals_its_exact_value_at_any_scale(h, d):
+    # alpha = 4 and t >= 1, where the closed form holds no G(t) and no
+    # l(t) G(t) that could overflow or underflow on its own
+    t = exclusion_radius(d, h)
+    assume(t >= 1)
+    exact = exact_bound_alpha4(h, t)
+    assume(sys.float_info.min <= exact <= sys.float_info.max)
+    value = interference_bound(BoundedPowerLaw(4), h, d)
+    assert abs(value - exact) <= 1e-15 * exact
 
 
 def test_legacy_bound_frozen_values():

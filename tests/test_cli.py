@@ -572,7 +572,7 @@ def test_verify_error_inside_a_shard_matches_one_worker(tmp_path, monkeypatch,
     from cellbounds import montecarlo
 
     def failing_streams(requests, trial_streams=montecarlo.trial_streams):
-        for index in (i for _, trials, _ in requests for i in trials):
+        for index in (i for _, trials in requests for i in trials):
             if index > 0:
                 raise ValueError(f"trial {index} failed")
         return trial_streams(requests)

@@ -317,7 +317,7 @@ def test_matern_ball_check_local_path_matches_full_samples():
 
 def shard_records(suites, trials):
     """Each suite's records and skipped count over ``trials``, from the
-    shard that runs them in ``verify``: one seeding pass for all of them."""
+    shard that runs them in ``verify``: two seeding passes for all of them."""
     done, exc = montecarlo._run_shard(suites, trials)
     assert exc is None
     return [([TrialRecord(*r) for r in zip(*columns)], skipped)
@@ -329,8 +329,8 @@ def shard_records(suites, trials):
 def test_grouped_suites_match_plain_factory(monkeypatch, intensity, budget):
     # budget 2000 puts about two full samples or a dozen local ones in a
     # group; at intensity 1.2e-4 a sample holds about one point, so some
-    # groups hold an empty sample.  The two suites' streams come from one
-    # seeding pass, with and without the ball centers
+    # groups hold an empty sample.  The two suites' streams come from the
+    # shard's two seeding passes, which derive ball centers for both
     monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
     factory = matern_factory(intensity, 4.0, Rect(0, 100, 0, 100))
     suites = [ball_regulation_suite(factory, 2.0, R_GRID, 30, 21),
@@ -347,7 +347,7 @@ def test_grouped_suites_match_plain_factory(monkeypatch, intensity, budget):
 def test_lattice_ball_suite_matches_plain_factory(monkeypatch, budget):
     # a group holds 9, 3 or 1 copies of the 472-site lattice, one per center:
     # it closes at the first copy that reaches the budget.  The two suites'
-    # streams, centers included, come from one seeding pass
+    # streams, centers included, come from the shard's two seeding passes
     monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
     lattice = lattice_factory(A_HEX, 40.0)
     suites = [ball_regulation_suite(lattice, 2.0, R_GRID, 30, seed)

@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 from oracles import matern_oracle
 from scipy.spatial.distance import pdist
 
-from cellbounds import pointset
+from cellbounds import _seeding, pointset
 from cellbounds.hexnet import UnsupportedReuseError
-from cellbounds.pointset import (MarkedPointSet, Rect, SampleGroup,
-                                 ball_count, color_lattice, from_csv,
-                                 gen_matern_ii, gen_triangular_lattice,
-                                 matern_groups, nearest_index, to_csv,
-                                 verify_hardcore)
+from cellbounds.pointset import (MarkedPointSet, MaternSource, Rect,
+                                 SampleGroup, ball_count, color_lattice,
+                                 from_csv, gen_matern_ii,
+                                 gen_triangular_lattice, nearest_index,
+                                 to_csv, verify_hardcore)
 
 A_HEX = 4 / math.sqrt(3.0)  # hexagon edge giving inter-site distance 4
+
+
+def stream(seed):
+    """The PCG64 seeding words of ``np.random.default_rng(seed)``."""
+    return _seeding.states([(seed,)])[0]
 
 
 def brute_min_same_mark(ps):
@@ -220,8 +225,8 @@ def test_matern_near_is_full_sample_restricted(seed, intensity, radius, reach,
     inner = window.shrink(reach)
     center = (inner.xmin + fx * inner.width, inner.ymin + fy * inner.height)
     full = gen_matern_ii(intensity, radius, window, seed)
-    (near,) = matern_groups(intensity, radius, window,
-                            [(seed, (center, reach))])
+    (near,) = MaternSource(intensity, radius, window).groups(
+        [(stream(seed), (center, reach))])
     inside = (np.abs(full.points - center) <= reach).all(axis=1)
     assert np.array_equal(near.points, full.points[inside])
 
@@ -430,7 +435,7 @@ def test_matern_rejects_a_poisson_mean_that_is_not_finite(window):
     # the mean, not numpy's poisson, says what is wrong
     with pytest.raises(ValueError,
                        match="intensity 0.1 times area inf, is not finite"):
-        next(matern_groups(0.1, 4.0, window, [(1, None)]))
+        MaternSource(0.1, 4.0, window)
 
 
 def test_matern_rejects_a_poisson_mean_above_2_to_the_62():
@@ -439,9 +444,9 @@ def test_matern_rejects_a_poisson_mean_above_2_to_the_62():
     window = Rect(0, 1e10, 0, 1e10)
     with pytest.raises(ValueError, match=r"intensity 0\.1 times area "
                                          r"1\.0000000016e\+20, is above 2\*\*62"):
-        next(matern_groups(0.1, 4.0, window, [(1, None)]))
+        MaternSource(0.1, 4.0, window)
     # a finite mean at the limit is accepted; only its draw runs out of memory
-    pointset.check_matern(2.0 ** 62 / window.expand(4.0).area, 4.0, window)
+    MaternSource(2.0 ** 62 / window.expand(4.0).area, 4.0, window)
 
 
 def test_sample_group_queries_match_single_sets():
@@ -480,7 +485,8 @@ def test_matern_groups_equal_gen_matern_ii(monkeypatch):
         expected.append(points)
     for budget in (1, 500, 10 ** 6):
         monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
-        groups = list(matern_groups(0.1, 4.0, window, draws))
+        groups = list(MaternSource(0.1, 4.0, window).groups(
+            (stream(seed), near) for seed, near in draws))
         assert sum(len(group) for group in groups) == len(draws)
         got = [group.points[group.starts[k]:group.starts[k + 1]]
                for group in groups for k in range(len(group))]
@@ -502,8 +508,8 @@ def test_groups_close_at_the_first_sample_reaching_the_budget(monkeypatch):
              for seed in range(9)]
     budget = drawn[0] + drawn[1] // 2
     monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
-    groups = list(matern_groups(0.1, 4.0, window,
-                                [(seed, None) for seed in range(9)]))
+    groups = list(MaternSource(0.1, 4.0, window).groups(
+        (stream(seed), None) for seed in range(9)))
     assert len(groups[0]) == 2
     first = 0
     for group in groups:

@@ -1,16 +1,17 @@
 """The vectorized seeding pass against numpy's own SeedSequence.
 
 The verifier's streams are fixed by numpy's seeding of ``[seed, i]``,
-``[seed, i, 1]`` and ``[trial seed]`` (see ``cellbounds.montecarlo``), so
-every word the pass derives must equal numpy's, over the whole domain of
-non-negative integers: multi-word seeds and indices included, where the
-entropy outgrows the pool's four words.
+``[seed, i, 1]`` and ``[trial seed]`` (see ``cellbounds.montecarlo``),
+which a shard of ``verify`` derives in two passes, so every word a pass
+derives must equal numpy's, over the whole domain of non-negative
+integers: multi-word seeds and indices included, where the entropy
+outgrows the pool's four words.
 """
 
 import numpy as np
 import pytest
 
-from cellbounds import _seeding, montecarlo
+from cellbounds import _seeding, cli, montecarlo
 from cellbounds.montecarlo import trial_seed, trial_streams
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 7]
@@ -52,12 +53,17 @@ def test_trial_seed_and_streams_equal_numpy():
     for seed in SEEDS:
         for index in INDICES:
             assert trial_seed(seed, index) == numpy_words([seed, index])[0]
-    (streams,) = trial_streams([(2**70, STRADDLE, True)])
-    assert streams.seeds == [numpy_words([2**70, i])[0] for i in STRADDLE]
-    for i, state in zip(STRADDLE, streams.centers):
-        assert np.array_equal(state, numpy_words([2**70, i, 1])[1])
-    (streams,) = trial_streams([(3, range(2), False)])
-    assert streams.centers.shape == (0, 4)
+    # a trial's sample stream is seeded by its trial seed
+    first, second = trial_streams([(2**70, STRADDLE), (3, range(2))])
+    for streams, seed, trials in ((first, 2**70, STRADDLE),
+                                  (second, 3, range(2))):
+        assert streams.seeds == [numpy_words([seed, i])[0] for i in trials]
+        assert streams.centers.shape == streams.samples.shape == (
+            len(trials), 4)
+        for i, tseed, center, sample in zip(trials, streams.seeds,
+                                            streams.centers, streams.samples):
+            assert np.array_equal(center, numpy_words([seed, i, 1])[1])
+            assert np.array_equal(sample, numpy_words([tseed])[1])
 
 
 @pytest.mark.parametrize("entropy", [[0], [7], [2**32], [42, 3, 1],
@@ -84,7 +90,7 @@ def test_the_adapter_hands_pcg64_four_contiguous_words():
     lambda: trial_seed(-1, 0),
     lambda: trial_seed(0, -1),
     lambda: _seeding.states([(5,), (-2**40,)]),
-    lambda: trial_streams([(-1, range(3), True)]),
+    lambda: trial_streams([(-1, range(3))]),
 ])
 def test_negative_entropy_raises_value_error(call):
     with pytest.raises(ValueError, match="non-negative"):
@@ -94,3 +100,26 @@ def test_negative_entropy_raises_value_error(call):
 def test_an_empty_batch_has_no_words():
     assert _seeding.states([]).shape == (0, 4)
     assert montecarlo.trial_streams([]) == []
+
+
+def test_a_shard_of_verify_derives_its_streams_in_two_passes(tmp_path,
+                                                            monkeypatch):
+    # the suites of `verify --suite all`: four seeded ones, two of them
+    # Matern, and three scheduled ones
+    captured = []
+    run_suites = montecarlo.run_suites
+    monkeypatch.setattr(montecarlo, "run_suites",
+                        lambda suites: captured.append(suites)
+                        or run_suites(suites))
+    assert cli.main(["verify", "--suite", "all", "--trials", "3",
+                     "--out", str(tmp_path / "all.csv")]) == 0
+    (suites,) = captured
+    assert len(suites) == 7
+    passes = []
+    states = _seeding.states
+    monkeypatch.setattr(_seeding, "states",
+                        lambda rows: passes.append(len(rows)) or states(rows))
+    done, exc = montecarlo._run_shard(suites, range(3))
+    assert exc is None and len(done) == len(suites)
+    # trial seeds and centers of 3 + 3 + 1 + 3 trials, then their samples
+    assert passes == [20, 10]
