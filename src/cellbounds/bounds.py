@@ -96,19 +96,6 @@ def _exclusion_bound(model: BoundedPowerLaw, rho: float, nu: float,
     return _closed_form(model, 0.0, rho, nu, t)
 
 
-def _full_plane_bound(model: BoundedPowerLaw, rho: float,
-                      nu: float) -> float:
-    """The full-plane shot-noise term of :func:`legacy_bound`, for the
-    envelope 1 + rho R + nu R^2; it depends on no distance."""
-    return _closed_form(model, 1.0, rho, nu, 0.0)
-
-
-def _legacy_at(model: BoundedPowerLaw, full_plane: float, t: float) -> float:
-    """:func:`legacy_bound` at the exclusion radius t, from its full-plane
-    term."""
-    return full_plane - model.eval(t)
-
-
 def interference_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     """A.s. bound on total interference at a receiver served from distance d.
 
@@ -136,6 +123,26 @@ def legacy_bound(model: BoundedPowerLaw, h: float, d: float) -> float:
     :func:`interference_bound` and, for the bounded power law, equal to it
     exactly at t = 1.
     """
-    t = exclusion_radius(d, h)
-    rho, nu = hardcore_regulation_constants(h)
-    return _legacy_at(model, _full_plane_bound(model, rho, nu), t)
+    return _bound_rows([model], h, [d])[0][3]
+
+
+def _bound_rows(models, h: float, distances: list) -> list:
+    """Rows (t, alpha, interference_bound, legacy_bound) at h for each
+    model of the iterable models and each serving distance of the list
+    distances; legacy_bound is its one-point case.  The radii t, which
+    check h and d, then rho_h and nu_h are computed once, and each model's
+    full-plane term once; a model is taken before its first bound.  No
+    distance, no bound: then only the models are checked.
+    """
+    rows = []
+    radii = None
+    for model in models:
+        if not distances:
+            continue
+        if radii is None:
+            radii = [exclusion_radius(d, h) for d in distances]
+            rho, nu = hardcore_regulation_constants(h)
+        full_plane = _closed_form(model, 1.0, rho, nu, 0.0)
+        rows += [(t, model.alpha, _exclusion_bound(model, rho, nu, t),
+                  full_plane - model.eval(t)) for t in radii]
+    return rows

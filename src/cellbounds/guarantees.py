@@ -97,16 +97,17 @@ def theta(link: LinkBudget, h: float) -> float:
 
     It is computed divided through by P, as l(d) / (bound + W/P), as
     P * bound overflows for large finite P.  Where the bound is 0 and W/P
-    underflows, theta is the SNR.  A theta that rounds to 0 is a
-    ValueError.
+    underflows, theta is the SNR.  A subnormal theta, which may round above
+    the true quotient, is a ValueError, as is 0.
     """
     bound = interference_bound(link.model, h, link.distance)
     gain = link.model.eval(link.distance)
     denom = bound + link.noise / link.power
     th = gain / denom if denom else link.snr
-    if not th:
+    if th < sys.float_info.min:
         raise ValueError(
-            f"the SINR bound at h = {h} rounds to 0: attenuation {gain:.3g}, "
+            f"the SINR bound at h = {h} is {th:.3g}, below "
+            f"{sys.float_info.min:.3g}: attenuation {gain:.3g}, "
             f"interference bound {bound:.3g} and noise-to-power ratio "
             f"{link.noise / link.power:.3g}")
     return th
@@ -182,20 +183,6 @@ def _needed_sir(th: float, k: int) -> float:
     return needed or math.expm1(k * math.log1p(th))
 
 
-def _reduced_power(link: LinkBudget, k: int, h_k: float, needed_sir: float,
-                   denom: float) -> float:
-    """P_k* = W / denom, where denom is l(d)/needed_sir minus the
-    interference bound at h_k; InfeasibleError where no power reaches."""
-    if needed_sir == math.inf:
-        raise InfeasibleError(
-            f"no power and no h_k reach the always-active rate at k = {k}: "
-            "it needs an infinite SIR")
-    if denom <= 0:
-        raise InfeasibleError(
-            f"at h_k = {h_k} no power reaches the always-active rate")
-    return link.noise / denom
-
-
 def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> float:
     """Reduced power matching the always-active guarantee under scheduling.
 
@@ -205,23 +192,29 @@ def critical_power(link: LinkBudget, h: float, k: int, h_k: float) -> float:
     Feasible (P_k* <= P) exactly when h_k is at least the critical
     separation h_k*; a non-positive denominator means the separation h_k
     cannot reach the target at any power, and an infinite needed SIR that
-    no separation can.
+    no separation can; each is an InfeasibleError.  It is the one-point
+    case of :func:`_critical_power_grid`.
     """
-    _check_classes(k)
-    needed_sir = _needed_sir(theta(link, h), k)
-    denom = (link.model.eval(link.distance) / needed_sir
-             - interference_bound(link.model, h_k, link.distance))
-    return _reduced_power(link, k, h_k, needed_sir, denom)
+    ((_, _, power),) = _critical_power_grid(link, h, [k], [h_k])
+    if power is not None:
+        return power
+    if _needed_sir(theta(link, h), k) == math.inf:
+        raise InfeasibleError(
+            f"no power and no h_k reach the always-active rate at k = {k}: "
+            "it needs an infinite SIR")
+    raise InfeasibleError(
+        f"at h_k = {h_k} no power reaches the always-active rate")
 
 
 def _critical_power_grid(link: LinkBudget, h: float, ks, hk_grid):
-    """Rows (k, h_k, P_k*) of critical_power(link, h, k, h_k) for each k of
-    ks and each h_k of the list hk_grid, P_k* None where it is infeasible.
+    """Rows (k, h_k, P_k*) for each k of ks and each h_k of the list
+    hk_grid: P_k* is W over the denominator of :func:`critical_power` where
+    that is positive, and None where no power reaches.
 
     theta(P, h) is computed once, and each h_k's interference bound once
     for every k, both after the first k is checked, so an invalid k, h or
-    h_k raises what the first failing call of critical_power would.  An
-    empty grid makes no call, so it yields nothing and checks nothing.
+    h_k raises what the first failing point would.  An empty grid makes no
+    call, so it yields nothing and checks nothing.
     """
     if not hk_grid:
         return
@@ -235,8 +228,5 @@ def _critical_power_grid(link: LinkBudget, h: float, ks, hk_grid):
         needed_sir = _needed_sir(th, k)
         gain = link.model.eval(link.distance) / needed_sir
         for h_k, bound in zip(hk_grid, bounds):
-            try:
-                power = _reduced_power(link, k, h_k, needed_sir, gain - bound)
-            except InfeasibleError:
-                power = None
-            yield k, h_k, power
+            denom = gain - bound  # <= 0 if needed_sir is inf, as gain is 0
+            yield k, h_k, link.noise / denom if denom > 0 else None

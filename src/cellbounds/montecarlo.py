@@ -192,8 +192,14 @@ def run_suites(suites: list[Suite]) -> list[VerificationReport]:
     :func:`cellbounds._shards.map_shards`), and the ranges are merged in
     trial order, so the reports are the same for any number of processes.
     If trials raise, the exception raised is the one a single process
-    raises: that of the earliest suite, then of the earliest trial.
+    raises: that of the earliest suite, then of the earliest trial.  A
+    suite with negative trials, or one that ran trials but kept no record
+    and so certified nothing, is a ConfigurationError.
     """
+    for i, suite in enumerate(suites, 1):
+        if suite.trials < 0:
+            raise ConfigurationError(f"suite {i} ({suite.label}) needs "
+                                     f"trials >= 0, got {suite.trials}")
     trials = max((suite.trials for suite in suites), default=0)
     shards = map_shards(partial(_run_shard, suites), trials,
                         default_workers(trials))
@@ -205,6 +211,10 @@ def run_suites(suites: list[Suite]) -> list[VerificationReport]:
         records = [TrialRecord(*r) for done, _ in shards
                    for r in zip(*done[j][0])]
         skipped = sum(done[j][1] for done, _ in shards)
+        if suite.trials and not records:
+            raise ConfigurationError(
+                f"suite {j + 1} ({suite.label}) checked nothing: "
+                f"skipped={skipped} of trials={suite.trials}")
         reports.append(_finalize(suite.label, suite.trials, records, skipped))
     return reports
 

@@ -139,6 +139,8 @@ def test_rate_always_active_values():
     assert rate_always_active(noisy, 2.0) < 1e-9
     bits = rate_always_active(link, 2.0, log_base="2")
     assert bits == pytest.approx(guarantee / math.log(2.0), rel=1e-12)
+    with pytest.raises(ValueError, match=r"unknown log base '10' \(use"):
+        rate_always_active(link, 2.0, log_base="10")
 
 
 def test_rate_scheduled_values():

@@ -153,11 +153,60 @@ def test_single_point_interference_is_zero():
 
 
 def test_interference_skips_empty_samples():
-    factory = matern_factory(1e-9, 4.0, Rect(0, 100, 0, 100))
-    report = check_interference_bound(factory, 2.0, MODEL, trials=4, seed=3)
-    assert report.skipped == 4
-    assert report.records == []
+    # about one point per sample: seed 0 leaves two of four samples empty
+    factory = matern_factory(1e-4, 4.0, Rect(0, 100, 0, 100))
+    report = check_interference_bound(factory, 2.0, MODEL, trials=4, seed=0)
+    assert report.skipped == 2
+    assert len(report.records) == 2
     assert report.violations == 0
+    assert report.summary().endswith(" violations=0 max_ratio=0.000869 "
+                                     "skipped=2")
+
+
+@pytest.mark.parametrize("source", [
+    matern_factory(1e-9, 4.0, Rect(0, 100, 0, 100)),
+    MarkedPointSet(np.zeros((0, 2)), np.zeros(0), Rect(0, 10, 0, 10)),
+], ids=["empty-samples", "empty-set"])
+def test_interference_that_checks_nothing_raises(source):
+    # every sample was skipped, so the run certified nothing
+    with pytest.raises(ConfigurationError, match=r"^suite 1 \(interference-"
+                       r"bound\) checked nothing: skipped=3 of trials=3$"):
+        check_interference_bound(source, 2.0, MODEL, trials=3, seed=3)
+
+
+def test_negative_trials_raise_before_any_trial():
+    with pytest.raises(ConfigurationError, match=r"^suite 2 \(ball-"
+                       r"regulation\) needs trials >= 0, got -5$"):
+        run_suites([interference_suite(lattice_factory(A_HEX, 40.0), 2.0,
+                                       MODEL, 1, 0),
+                    ball_regulation_suite(lattice_factory(A_HEX, 40.0), 2.0,
+                                          R_GRID, -5, 0)])
+    with pytest.raises(ConfigurationError, match="got -5"):
+        check_ball_regulation(lattice_factory(A_HEX, 40.0), 2.0, [2, 4],
+                              trials=-5, seed=0)
+
+
+@pytest.mark.parametrize("r_grid", [[], [2.0, -1.0]],
+                         ids=["empty", "negative"])
+def test_ball_suite_rejects_its_radii(r_grid):
+    with pytest.raises(ConfigurationError, match="non-negative radii"):
+        ball_regulation_suite(lattice_factory(A_HEX, 40.0), 2.0, r_grid,
+                              trials=1, seed=0)
+
+
+def test_scheduled_check_needs_a_point_of_every_class():
+    lattice = lattice_factory(A_HEX, 40.0, 3)
+    two_classes = MarkedPointSet(lattice.points, np.minimum(lattice.marks, 2),
+                                 lattice.window, num_marks=3)
+    with pytest.raises(ConfigurationError,
+                       match="reuse-3 point set has no point of mark 3"):
+        check_scheduled_bound(two_classes, hardcore_for_reuse(A_HEX, 3),
+                              MODEL, seed=0)
+
+
+@pytest.mark.parametrize("realized, ratio", [(0.0, 0.0), (0.5, math.inf)])
+def test_ratio_against_a_zero_bound(realized, ratio):
+    assert TrialRecord(1, 2.0, 2.0, realized, 0.0).ratio == ratio
 
 
 def test_interference_negative_control():

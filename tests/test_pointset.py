@@ -316,6 +316,9 @@ def test_marked_point_set_validation():
                            num_marks=2)
     ps = MarkedPointSet(np.array([[0.5, 0.5]]), [2.0], window, num_marks=2)
     assert ps.marks.dtype == np.int64 and ps.marks.tolist() == [2]
+    with pytest.raises(ValueError, match="lattice indices must match"):
+        MarkedPointSet(np.array([[0.5, 0.5]]), [1], window,
+                       lattice_ij=np.array([[0, 0], [1, 0]]))
 
 
 @pytest.mark.parametrize("text, match", [
@@ -324,6 +327,10 @@ def test_marked_point_set_validation():
     ("x,y,mark\n0,0,1e300", "integers"),
     ("x,y,mark\n0,0", "three columns"),
     ("x,y,mark\n0,0,1,4", "three columns"),
+    ("x,y,m\n0,0,1", "header 'x,y,mark'"),
+    ("", "header 'x,y,mark'"),
+    # no row and no window: no bounding box to take
+    ("x,y,mark\n", "cannot infer a window"),
 ])
 def test_from_csv_rejects_bad_rows(text, match):
     with pytest.raises(ValueError, match=match):
@@ -427,6 +434,17 @@ def test_rect_rejects_non_finite_bounds(bounds):
 def test_matern_rejects_non_finite_parameters(intensity, radius):
     with pytest.raises(ValueError, match="finite"):
         gen_matern_ii(intensity, radius, Rect(0, 10, 0, 10), 1)
+
+
+@pytest.mark.parametrize("intensity, radius, match", [
+    (0.0, 4.0, "intensity must be positive"),
+    (-0.1, 4.0, "intensity must be positive"),
+    (0.1, 0.0, "hardcore radius must be positive"),
+    (0.1, -4.0, "hardcore radius must be positive"),
+])
+def test_matern_rejects_non_positive_parameters(intensity, radius, match):
+    with pytest.raises(ValueError, match=match):
+        MaternSource(intensity, radius, Rect(0, 10, 0, 10))
 
 
 @pytest.mark.parametrize("window", [Rect(0, 1e200, 0, 1e200),

@@ -4,7 +4,8 @@ import os
 import pytest
 
 from cellbounds import montecarlo
-from cellbounds._shards import map_shards, shard_ranges, worker_count
+from cellbounds._shards import (map_shards, shard_ranges, usable_cpus,
+                               worker_count)
 from cellbounds.montecarlo import Suite, TrialRecord, run_suites
 
 
@@ -105,6 +106,33 @@ def test_unpinnable_shards_give_the_same_results(monkeypatch, setaffinity):
     results = map_shards(lambda shard: (list(shard), os.sched_getaffinity(0)),
                          5, 2)
     assert results == [([0, 1], mask), ([2, 3, 4], mask)]
+    assert no_child_left()
+
+
+def test_shards_run_without_cpu_affinity_calls(monkeypatch, tmp_path):
+    # a platform with neither call: the CPUs are os.cpu_count(), nothing
+    # is pinned, and verify writes what one worker writes
+    from cellbounds import cli
+    mask = cpu_mask()
+    real = os.sched_getaffinity if mask is not None else lambda pid: None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert usable_cpus() == 3
+    assert map_shards(lambda shard: real(0), 3, 3) == [mask] * 3
+    assert no_child_left()
+    workers = []
+    real_map = montecarlo.map_shards
+    monkeypatch.setattr(montecarlo, "map_shards", lambda task, trials, n:
+                        workers.append(n) or real_map(task, trials, n))
+    argv = ["verify", "--trials", "7", "--seed", "5", "--out"]
+    assert cli.main([*argv, str(tmp_path / "three.csv")]) == 0
+    pin_workers(monkeypatch, 1)
+    assert cli.main([*argv, str(tmp_path / "one.csv")]) == 0
+    assert workers == [3, 1]
+    assert ((tmp_path / "three.csv").read_bytes()
+            == (tmp_path / "one.csv").read_bytes())
+    assert real(0) == mask
     assert no_child_left()
 
 

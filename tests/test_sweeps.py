@@ -1,9 +1,10 @@
 """The four analytic sweeps against the public functions, point by point.
 
-bound-compare and critical-power compute once what does not depend on
-their sweep variable.  Each sweep's rows must equal, bit for bit, the rows
-built from one call of the public functions per point, and its errors the
-errors those calls raise first.
+bound-compare and critical-power run the grid routines whose one-point
+cases are legacy_bound and critical_power, and compute once what does not
+depend on their sweep variable.  Each sweep's rows must equal, bit for
+bit, the rows built from one call of the public functions per point, and
+its errors the errors those calls raise first.
 """
 
 import math
@@ -170,7 +171,7 @@ def count_calls(monkeypatch, name, *modules):
 
 @pytest.mark.parametrize("command, name, modules, count", [
     # rho_h and nu_h once, not twice per exclusion radius and exponent
-    ("bound-compare", "hardcore_regulation_constants", (bounds, cli), 1),
+    ("bound-compare", "hardcore_regulation_constants", (bounds,), 1),
     # theta(P, h) once, not once per row
     ("critical-power", "theta", (guarantees,), 1),
 ], ids=lambda v: v if isinstance(v, str) else None)
@@ -243,12 +244,25 @@ ERROR_CASES = [
     # a valid link whose always-active SINR bound rounds to 0
     (("critical-power", "--alpha", "2.1", "--d", "1e140", "--hardcore",
       "1e-25", "--power", "1e300"), 1,
-     "the SINR bound at h = 1e-25 rounds to 0: attenuation 1e-294, "
-     "interference bound 1.9e+37 and noise-to-power ratio 1e-294"),
+     "the SINR bound at h = 1e-25 is 0, below 2.23e-308: attenuation "
+     "1e-294, interference bound 1.9e+37 and noise-to-power ratio 1e-294"),
     (("rate-vs-hk", "--alpha", "2.1", "--d", "1e140", "--hardcore",
       "1e-25", "--power", "1e300"), 1,
-     "the SINR bound at h = 1e-25 rounds to 0: attenuation 1e-294, "
-     "interference bound 1.9e+37 and noise-to-power ratio 1e-294"),
+     "the SINR bound at h = 1e-25 is 0, below 2.23e-308: attenuation "
+     "1e-294, interference bound 1.9e+37 and noise-to-power ratio 1e-294"),
+    # ... or to a subnormal, with too few bits to be a guarantee; wherever
+    # the envelope G(t) overflows, theta < 1/(nu_h t^2) is below 5.6e-309
+    (("critical-power", "--alpha", "2.1", "--d", "1e140", "--hardcore",
+      "1e-20", "--power", "1e300"), 1,
+     "the SINR bound at h = 1e-20 is 5.24e-322, below 2.23e-308: "
+     "attenuation 1e-294, interference bound 1.9e+27 and noise-to-power "
+     "ratio 1e-294"),
+    (("rate-vs-hk", "--alpha", "2.1", "--d", "1e140", "--hardcore",
+      "1e-20", "--power", "1e300"), 1,
+     "the SINR bound at h = 1e-20 is 5.24e-322, below 2.23e-308: "
+     "attenuation 1e-294, interference bound 1.9e+27 and noise-to-power "
+     "ratio 1e-294"),
+    (("bound-compare", "--t-step", "0"), 1, "grid step must be positive"),
 ]
 
 
@@ -294,13 +308,3 @@ def test_bound_compare_is_finite_where_the_envelope_overflows():
                                     rel=1e-14)
         assert new < legacy < math.inf
     assert rows[0][2] == pytest.approx(1.81379936423e+80, rel=1e-11)
-
-
-@pytest.mark.parametrize("sweep", ["critical-power", "rate-vs-hk"])
-def test_far_link_at_a_huge_power_has_finite_rows(sweep):
-    # the interference bound at h = 1e-20 and t = 1e140 overflowed to inf,
-    # so theta read 0 and the command failed; each of its terms is finite
-    rows = sweep_rows(sweep, "--alpha", "2.1", "--d", "1e140", "--hardcore",
-                      "1e-20", "--power", "1e300")
-    cells = [v for row in rows for v in row if not isinstance(v, str)]
-    assert rows and all(0 < v < math.inf for v in cells)
