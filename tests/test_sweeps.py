@@ -252,13 +252,13 @@ ERROR_CASES = [
      "1e-294, interference bound 1.9e+37 and noise-to-power ratio 1e-294"),
     # ... or to a subnormal, with too few bits to be a guarantee; wherever
     # the envelope G(t) overflows, theta < 1/(nu_h t^2) is below 5.6e-309
-    (("critical-power", "--alpha", "2.1", "--d", "1e140", "--hardcore",
-      "1e-20", "--power", "1e300"), 1,
+    (("critical-power", "--hardcore", "1e-20", "--alpha", "2.1", "--d",
+      "1e140", "--power", "1e300"), 1,
      "the SINR bound at h = 1e-20 is 5.24e-322, below 2.23e-308: "
      "attenuation 1e-294, interference bound 1.9e+27 and noise-to-power "
      "ratio 1e-294"),
-    (("rate-vs-hk", "--alpha", "2.1", "--d", "1e140", "--hardcore",
-      "1e-20", "--power", "1e300"), 1,
+    (("rate-vs-hk", "--hardcore", "1e-20", "--alpha", "2.1", "--d",
+      "1e140", "--power", "1e300"), 1,
      "the SINR bound at h = 1e-20 is 5.24e-322, below 2.23e-308: "
      "attenuation 1e-294, interference bound 1.9e+27 and noise-to-power "
      "ratio 1e-294"),
