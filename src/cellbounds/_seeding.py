@@ -4,10 +4,12 @@
 into a pool of four words and hashes the pool into the words it draws;
 ``np.random.default_rng(entropy)`` seeds PCG64 with the first four 64-bit
 words of that draw.  Built one at a time, each costs microseconds of
-Python-level set-up.  :func:`states` runs the same algorithm, with the hash
-constants of ``numpy/random/bit_generator.pyx``, on every entropy list of a
-batch in a fixed number of numpy calls (a few more per entropy word past
-the pool's four), and :func:`generator` hands one of its rows to
+Python-level set-up.  :func:`states` runs numpy's ``mix_entropy`` and
+``generate_state`` (``numpy/random/bit_generator.pyx``) loop for loop, with
+numpy's running hash constant carried by a :class:`_Hash`, but each loop
+over the words of one list runs over every entropy list of a batch at once:
+a fixed number of numpy calls, a few more per entropy word past the pool's
+four.  :func:`generator` hands one row of the result to
 ``np.random.PCG64``, so every draw still comes from numpy's own generator.
 For an entropy list ``e`` of non-negative integers::
 
@@ -15,7 +17,7 @@ For an entropy list ``e`` of non-negative integers::
     first_words(states([e]))[0] == SeedSequence(e).generate_state(1)[0]
     generator(states([e])[0]) draws what default_rng(e) draws
 
-Every operation is on arrays, whose uint32 arithmetic wraps silently; on
+Every uint32 operation has an array operand, so it wraps silently; between
 numpy scalars it would warn.
 """
 
@@ -30,43 +32,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-# Entropy lists hashed in one pass: about 600 bytes each while it runs.  A
+# Entropy lists hashed in one pass: about 300 bytes each while it runs.  A
 # shard of verify's acceptance run has about 350.
 _BATCH = 4096
-
-
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    """The first ``count + 1`` values of numpy's running hash constant: the
-    k-th hash of a word is xored with value k and multiplied by value k+1."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
-def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """The constants of the pass, one row per use: the mixing's, one per
-    pool word, and the draw's, one per output word.
-
-    Mixing rows 0-1 hash the first four entropy words into the pool; rows
-    2+2i and 3+2i hash pool word i into each other word in turn (its own
-    entries are unused); rows 10-11 are the two multipliers of ``mix``.
-    Draw rows 0-1 hash the pool, twice over, into eight output words.
-    """
-    a = _hash_constants(_INIT_A, _MULT_A, 16)
-    b = _hash_constants(_INIT_B, _MULT_B, 8)
-    rows = [a[0:4], a[1:5]]
-    for i in range(_POOL):
-        xor, mul = [0] * _POOL, [0] * _POOL
-        for step, dst in enumerate(d for d in range(_POOL) if d != i):
-            xor[dst], mul[dst] = a[4 + 3 * i + step], a[5 + 3 * i + step]
-        rows += [xor, mul]
-    rows += [[_MIX_MULT_L] * _POOL, [_MIX_MULT_R] * _POOL]
-    return (np.array(rows, dtype=np.uint32)[:, :, None],
-            np.array([b[0:8], b[1:9]], dtype=np.uint32)[:, :, None])
-
-
-_MIXING, _DRAW = _tables()
 
 
 def _words(entropy) -> list[int]:
@@ -85,24 +53,36 @@ def _words(entropy) -> list[int]:
     return words
 
 
-def _hashmix(out: np.ndarray, values: np.ndarray, xor: np.ndarray,
-             mul: np.ndarray, scratch: np.ndarray) -> None:
-    """numpy's ``hashmix`` of each value, into ``out``."""
-    np.bitwise_xor(values, xor, out=out)
-    out *= mul
-    np.right_shift(out, 16, out=scratch)
-    out ^= scratch
+class _Hash:
+    """numpy's ``hashmix`` with its running hash constant, which starts at
+    ``init`` and is multiplied by ``mult`` at every hash."""
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, values: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` hashes, as ``count`` rows: row k hashes row k
+        of ``values`` (or ``values`` itself, if it is one row) with the
+        next constant."""
+        consts = [self.const]
+        for _ in range(count):
+            consts.append(consts[-1] * self.mult & _MASK32)
+        self.const = consts[-1]
+        consts = np.array(consts, dtype=np.uint32)[:, None]
+        out = values ^ consts[:-1]
+        out *= consts[1:]
+        out ^= out >> 16
+        return out
 
 
-def _mix(pool: np.ndarray, hashed: np.ndarray, left: np.ndarray,
-         right: np.ndarray, scratch: np.ndarray) -> None:
-    """numpy's ``mix(pool, hashed)``, in place in ``pool``; clobbers
-    ``hashed``."""
-    pool *= left
-    hashed *= right
-    pool -= hashed
-    np.right_shift(pool, 16, out=scratch)
-    pool ^= scratch
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's ``mix(x, y)`` of each pair of words, in place in ``x``;
+    clobbers ``y``."""
+    x *= _MIX_MULT_L
+    y *= _MIX_MULT_R
+    x -= y
+    x ^= x >> 16
+    return x
 
 
 def states(rows) -> np.ndarray:
@@ -121,7 +101,9 @@ def states(rows) -> np.ndarray:
 
 
 def _states(rows: list) -> np.ndarray:
-    """:func:`states` of at most ``_BATCH`` lists, in one pass."""
+    """:func:`states` of at most ``_BATCH`` lists, in one pass: numpy's
+    ``mix_entropy`` and ``generate_state``, each loop over the words of
+    one list run over every list of the batch at once."""
     lists = [_words(row) for row in rows]
     n = len(lists)
     lengths = np.array([len(words) for words in lists], dtype=np.intp)
@@ -130,25 +112,15 @@ def _states(rows: list) -> np.ndarray:
     # each missing one; past four, only the lists that have a word mix it
     words = np.array([w + [0] * (height - len(w)) for w in lists],
                      dtype=np.uint32).reshape(n, height).T
-    # every constant at the pool's shape, so that no operation broadcasts
-    c = list(np.repeat(_MIXING, n, axis=2))
-    pool, hashed, scratch = np.empty((3, _POOL, n), dtype=np.uint32)
-    _hashmix(pool, words[:_POOL], c[0], c[1], scratch)
-    for i in range(_POOL):  # mix word i into the others, then restore it
-        word = pool[i].copy()
-        _hashmix(hashed, word, c[2 + 2 * i], c[3 + 2 * i], scratch)
-        _mix(pool, hashed, c[10], c[11], scratch)
-        pool[i] = word
-    for j in range(_POOL, height):  # each word past four into every word
-        a = _hash_constants(_INIT_A, _MULT_A, 4 * j + 4)[4 * j:]
-        _hashmix(hashed, words[j], np.array(a[:4], dtype=np.uint32)[:, None],
-                 np.array(a[1:], dtype=np.uint32)[:, None], scratch)
-        mixed = pool.copy()
-        _mix(mixed, hashed, c[10], c[11], scratch)
+    mixing = _Hash(_INIT_A, _MULT_A)
+    pool = mixing(words[:_POOL], _POOL)
+    for src in range(_POOL):  # each pool word into the other three
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mix(pool[dst], mixing(pool[src], _POOL - 1))
+    for j in range(_POOL, height):  # each word past four into all four
+        mixed = _mix(pool.copy(), mixing(words[j], _POOL))
         np.copyto(pool, mixed, where=lengths > j)
-    draw = np.repeat(_DRAW, n, axis=2)
-    drawn = np.concatenate((pool, pool))
-    _hashmix(drawn, drawn, draw[0], draw[1], np.empty_like(drawn))
+    drawn = _Hash(_INIT_B, _MULT_B)(np.concatenate((pool, pool)), 2 * _POOL)
     # numpy pairs the 32-bit words, low one first, into 64-bit words
     return np.ascontiguousarray(drawn.T, dtype="<u4").view("<u8").astype(
         np.uint64, copy=False)

@@ -15,6 +15,7 @@ always-active guarantee once h_k >= h_k*.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 
@@ -30,8 +31,12 @@ class InfeasibleError(ValueError):
 
 
 def _check_classes(k: int) -> None:
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    try:  # an int or numpy integer; a float, even 3.0, raises TypeError
+        if operator.index(k) >= 1:
+            return
+    except TypeError:
+        pass
+    raise ValueError("k must be a positive integer")
 
 
 def _log1p_base(x: float, log_base: str) -> float:

@@ -243,6 +243,9 @@ def matern_keep_mask(points, ages, radius: float, cloud=None) -> np.ndarray:
     order the labels are given.
     """
     pts = _points(points)
+    radius = float(radius)
+    if math.isnan(radius):
+        raise ValueError("radius must not be NaN")
     age = np.asarray(ages, dtype=np.float64).reshape(-1)
     if age.shape[0] != pts.shape[0]:
         raise ValueError("ages and points must have equal length")
@@ -258,7 +261,7 @@ def matern_keep_mask(points, ages, radius: float, cloud=None) -> np.ndarray:
             cloud = np.unique(cloud, return_inverse=True)[1].reshape(-1)
     cloud = cloud.astype(np.intp, copy=False)
     keep = np.ones(pts.shape[0], dtype=bool)
-    for a, b in _close_pairs(pts, float(radius), cloud):
+    for a, b in _close_pairs(pts, radius, cloud):
         i, j = np.minimum(a, b), np.maximum(a, b)
         # with i < j, clearing j on equal ages ranks the smaller index older
         keep[np.where(age.take(j) < age.take(i), i, j)] = False

@@ -254,7 +254,7 @@ def ball_regulation_suite(source, h: float, r_grid, trials: int,
     one pass.
     """
     r_grid = [float(r) for r in r_grid]
-    if not r_grid or min(r_grid) < 0:
+    if not r_grid or not all(r >= 0 for r in r_grid):  # NaN included
         raise ConfigurationError("need a non-empty grid of non-negative radii")
     try:  # checked at any trial count, zero included
         inner = source.window.shrink(max(r_grid))

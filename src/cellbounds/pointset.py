@@ -310,7 +310,7 @@ def _squared_limits(radii) -> list[float]:
     """Per radius r, the bound below which a squared distance lies in the
     open ball of radius r."""
     radii = [float(r) for r in radii]
-    if any(r < 0 for r in radii):
+    if not all(r >= 0 for r in radii):  # NaN included
         raise ValueError("radius must be non-negative")
     return [t * t for t in (r * (1.0 - _REL_SLACK) for r in radii)]
 

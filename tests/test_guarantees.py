@@ -157,6 +157,18 @@ def test_rate_scheduled_values():
     assert rate_scheduled(link, 6, H3) == pytest.approx(k3 / 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, 2.5, 0])
+def test_reuse_factor_must_be_a_positive_integer(k):
+    link = reference_link()
+    for call in (lambda: rate_scheduled(link, k, H3),
+                 lambda: solve_critical_hk(link, 2.0, k),
+                 lambda: critical_power(link, 2.0, k, H3)):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            call()
+    # numpy integers are integers
+    assert rate_scheduled(link, np.int64(3), H3) == rate_scheduled(link, 3, H3)
+
+
 def test_criticality_feasible_cases():
     link = reference_link()
     assert criticality_feasible(link, 2.0, 3)

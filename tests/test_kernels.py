@@ -43,6 +43,15 @@ def test_matern_mask_matches_reference():
     assert np.array_equal(kernels.matern_keep_mask(pts, ages, 5.0), expected)
 
 
+def test_matern_mask_edge_radii():
+    # a radius of 0 or below keeps every point, an infinite one only the
+    # oldest
+    pts, ages, _ = random_cloud(20, seed=3)
+    for radius in (0.0, -1.0, np.inf):
+        assert np.array_equal(kernels.matern_keep_mask(pts, ages, radius),
+                              matern_mask_reference(pts, ages, radius))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_matern_mask_matches_reference_on_larger_clouds(seed):
     pts, ages, _ = random_cloud(300, seed=10 + seed)
@@ -359,6 +368,9 @@ def test_kernels_reject_non_finite_points():
         kernels.matern_keep_mask(pts, np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         kernels.min_same_mark_sq_dist(pts, np.ones(3))
+    # a NaN radius decides no pair, so it would keep every point
+    with pytest.raises(ValueError, match="NaN"):
+        kernels.matern_keep_mask(np.zeros((3, 2)), np.zeros(3), np.nan)
 
 
 def test_wrappers_validate_lengths():

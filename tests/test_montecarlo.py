@@ -186,8 +186,8 @@ def test_negative_trials_raise_before_any_trial():
                               trials=-5, seed=0)
 
 
-@pytest.mark.parametrize("r_grid", [[], [2.0, -1.0]],
-                         ids=["empty", "negative"])
+@pytest.mark.parametrize("r_grid", [[], [2.0, -1.0], [2.0, math.nan]],
+                         ids=["empty", "negative", "nan"])
 def test_ball_suite_rejects_its_radii(r_grid):
     with pytest.raises(ConfigurationError, match="non-negative radii"):
         ball_regulation_suite(lattice_factory(A_HEX, 40.0), 2.0, r_grid,

@@ -297,8 +297,9 @@ def test_ball_counts_match_pointwise_reference(monkeypatch):
     assert list(lattice.groups([])) == []
     with pytest.raises(ValueError):
         groups[0].ball_counts(centers[:1], [2.0, -1.0])
-    with pytest.raises(ValueError):
-        ball_count(lattice, (0.0, 0.0), -1.0)
+    for radius in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="non-negative"):
+            ball_count(lattice, (0.0, 0.0), radius)
 
 
 def test_marked_point_set_validation():

@@ -10,6 +10,8 @@ outgrows the pool's four words.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellbounds import _seeding, cli, montecarlo
 from cellbounds.montecarlo import trial_seed, trial_streams
@@ -47,6 +49,16 @@ def test_lists_of_every_length_in_one_batch_or_several(monkeypatch, batch):
     words = _seeding.states(rows)
     for row, state in zip(rows, words):
         assert np.array_equal(state, numpy_words(list(row))[1]), row
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2**200), max_size=9), max_size=20))
+def test_random_batches_equal_numpy(rows):
+    # lists of 0 to 63 words, all in one pass
+    words = _seeding.states(rows)
+    assert words.shape == (len(rows), 4)
+    for row, state in zip(rows, words):
+        assert np.array_equal(state, numpy_words(row)[1]), row
 
 
 def test_trial_seed_and_streams_equal_numpy():
