@@ -139,6 +139,7 @@ def criticality_feasible(link: LinkBudget, h: float, k: int) -> bool:
     Requires log(1 + SNR) >= k * log(1 + theta(P, h)): even infinite
     separation cannot push the scheduled guarantee past the SNR ceiling.
     """
+    _check_classes(k)
     return math.log1p(link.snr) >= k * math.log1p(theta(link, h))
 
 

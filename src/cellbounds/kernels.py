@@ -13,20 +13,21 @@ receiver, as :func:`sq_dists` computes them.
 :func:`matern_keep_mask` thins several independent samples in one call
 when each point carries the label of its sample: the label is part of the
 cell id, so points of different samples are never paired, and the fixed
-cost of a call (about 90 us) is paid once per group of samples instead
-of once per sample.  :meth:`cellbounds.pointset.MaternSource.groups`
-fills each group up to a budget of Poisson points, each sample drawn
-from the ready PCG64 seeding words of its ``(words, near)`` draw.  :func:`min_same_mark_sq_dist`
-labels the points by mark the same way, so all marks are searched at once.
+cost of a call (about 140 us on one CPU) is paid once per group of
+samples instead of once per sample.
+:meth:`cellbounds.pointset.MaternSource.groups` fills each group up to a
+budget of Poisson points, each sample drawn from the ready PCG64 seeding
+words of its ``(words, near)`` draw.  :func:`min_same_mark_sq_dist` labels
+the points by mark the same way, so all marks are searched at once.
 
 A call writes few pages, and later batches and calls write the same ones:
 it keeps the sort order and the bounds of each point's two runs, takes the
 coordinates from the caller's array instead of a sorted copy, and tests
-candidate pairs in batches whose arrays stay far below glibc's mmap
-threshold, which importing this module raises from 128 KiB to 2 MiB.
-Arrays above it are mapped afresh each time, one page fault per 4 KiB,
-and a forked ``verify`` worker pays a copy on its first write to each page
-it shares with its parent.
+candidate pairs in batches whose largest array, 256 KiB, is an eighth of
+glibc's mmap threshold, which importing this module raises from 128 KiB to
+2 MiB.  Arrays above it are mapped afresh each time, one page fault per
+4 KiB, and a forked ``verify`` worker pays a copy on its first write to
+each page it shares with its parent.
 """
 
 from __future__ import annotations
@@ -50,17 +51,19 @@ _MAX_CELLS_PER_AXIS = 2 ** 20
 _SUBROWS = 3
 # Blocks of cells, one per sample label, that share the cell budget of one
 # unlabelled cloud before the cells grow; a group of local ball samples
-# (about 25 labels, 4,000 points over a 108 x 108 window) then keeps cells
-# of the search radius, about 14 sub-row cells per point in all.
+# (about 50 labels, 8,000 points over a 108 x 108 window) then keeps cells
+# of the search radius, about 14 sub-row cells per point and about 115k in
+# all, past the 2**16 of the radix sort (see _cell_order).
 _LABEL_BLOCKS = 8
 # Candidate pairs tested at once.  A batch bounds the memory of a call
-# where many points share a cell (a tight cluster), and its arrays, the
-# largest of them the 64 KiB of coordinates of one side of the pairs, stay
-# in L2 and far below the mmap threshold raised below, so the allocator
-# reuses the heap pages the batch before freed.  1 << 11 makes
-# verify-acceptance slower; 1 << 13 thins about 8% faster but raises the
-# peak RSS of verify-wide by about 0.2 MB.
-_BATCH = 1 << 12
+# where many points share a cell (a tight cluster).  Its largest array, the
+# 256 KiB of coordinates of one side of the pairs, is an eighth of the mmap
+# threshold raised below, so the allocator reuses the heap pages the batch
+# before freed, and its live set of about 0.9 MB stays in a 2 MiB L2.  Each
+# batch costs about 20 numpy calls: 1 << 12 thinned verify's groups and a
+# 17k-point sample 7-10% slower on one CPU; 1 << 15 thinned a group no
+# faster and the 17k-point sample about 2% faster.
+_BATCH = 1 << 14
 
 # glibc gives the top of its heap back to the system once more than its
 # trim threshold, at first 128 KiB, lies free there.  A thinning call frees

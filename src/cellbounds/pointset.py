@@ -36,12 +36,14 @@ _REL_SLACK = 1e-12
 # Relative inflation of the reach of a local Matern sample (see MaternSource).
 _REACH_SLACK = 1e-9
 # Points a group of samples reaches before it closes (see _grouped): for
-# Matern samples the Poisson points thinned in one kernel call, about 4 full
-# samples at the verify defaults or 25 of the ball suite's local ones, so
-# the call's fixed cost, about 90 us, is paid once per group.  A budget of
-# 16,000 made `verify` faster still, but added 2.3 MB to its peak memory
-# where this one adds about 1 MB.
-GROUP_POINTS = 4000
+# Matern samples the Poisson points thinned in one kernel call, about 7 full
+# samples at the verify defaults or 50 of the ball suite's local ones, so
+# the call's fixed cost, about 140 us, is paid once per group: a 100-trial
+# shard of `verify --suite all` makes 17 calls, where a budget of 4,000
+# made 29 and ran about 4% slower on one CPU.  With the kernel's batches,
+# this budget lifts the peak memory of `verify` from about 40.9 to 42.5 MB;
+# 16,000 ran about 3% faster still and took 0.6 MB more.
+GROUP_POINTS = 8000
 # The (i, j) grid points gen_triangular_lattice builds at most, about 0.8 GiB
 # at 83 B each: a square window of half-width 4,680 at the default edge.
 _MAX_LATTICE_GRID = 10 ** 7

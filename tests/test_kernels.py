@@ -259,7 +259,7 @@ def test_widely_spread_cloud_needs_no_dense_grid(height):
                        for i in range(len(pts) - 1))
 
 
-@pytest.mark.parametrize("batch", [1, 7, 100, kernels._BATCH, 1 << 14])
+@pytest.mark.parametrize("batch", [1, 7, 100, kernels._BATCH, 1 << 12])
 def test_batches_leave_results_unchanged(batch, monkeypatch):
     # two samples of 200 points on one 30 x 30 square, thinned at r = 10:
     # about 48k candidate pairs unlabelled and 24k labelled, so batches of
@@ -281,19 +281,21 @@ def test_batches_leave_results_unchanged(batch, monkeypatch):
         min_same_mark_brute_force(pts, marks)
 
 
-# Thins a group of verify's Matern interference suite, 4 samples at
-# intensity 0.1 on a 108 x 108 window at r = 4, in a fresh interpreter, and
-# prints the minor page faults of 20 calls after 5 warming ones.
+# Thins a group of verify's Matern interference suite in a fresh
+# interpreter: the 7 samples of about 1,170 points at intensity 0.1 on a
+# 108 x 108 window that reach pointset.GROUP_POINTS, at r = 4.  Prints the
+# minor page faults of 20 calls after 5 warming ones.
 _FAULTS_SCRIPT = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from cellbounds import kernels, pointset
 rng = np.random.default_rng(8)
-sizes = rng.poisson(0.1 * 108 * 108, size=4)
+sizes = rng.poisson(0.1 * 108 * 108, size=7)
 pts = rng.uniform(0, 108, size=(sizes.sum(), 2))
 ages = rng.random(len(pts))
-cloud = np.arange(4).repeat(sizes)
+cloud = np.arange(7).repeat(sizes)
+assert sizes[:-1].sum() < pointset.GROUP_POINTS <= sizes.sum()
 for _ in range(5):
     kernels.matern_keep_mask(pts, ages, 4.0, cloud)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

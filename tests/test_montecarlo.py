@@ -373,30 +373,44 @@ def shard_records(suites, trials):
             for columns, skipped in done]
 
 
-@pytest.mark.parametrize("intensity, budget", [(0.1, 2000), (0.1, 1),
-                                               (1.2e-4, 3)])
+@pytest.mark.parametrize("intensity, budget", [
+    (0.1, pointset.GROUP_POINTS), (0.1, 2000), (0.1, 1), (1.2e-4, 3)])
 def test_grouped_suites_match_plain_factory(monkeypatch, intensity, budget):
-    # budget 2000 puts about two full samples or a dozen local ones in a
-    # group; at intensity 1.2e-4 a sample holds about one point, so some
-    # groups hold an empty sample.  The two suites' streams come from the
-    # shard's two seeding passes, which derive ball centers for both
+    # the default budget puts the 40 local ball samples in one group of
+    # 84,240 cells, past the 2**16 of the radix sort, so numpy's default
+    # argsort orders their cell ids (30 samples span only 59,250); budget
+    # 2000 puts about two full samples or a dozen local ones in a group; at
+    # intensity 1.2e-4 a sample holds about one point, so some groups hold
+    # an empty sample.  The two suites' streams come from the shard's two
+    # seeding passes, which derive ball centers for both
+    cells = []
+
+    def cell_order(cell, count):
+        cells.append(count)
+        return sorted_cells(cell, count)
+
+    sorted_cells = kernels._cell_order
+    monkeypatch.setattr(kernels, "_cell_order", cell_order)
     monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
     factory = matern_factory(intensity, 4.0, Rect(0, 100, 0, 100))
-    suites = [ball_regulation_suite(factory, 2.0, R_GRID, 30, 21),
-              interference_suite(factory, 2.0, MODEL, 30, 22)]
-    for a, b in [(0, 30), (1, 4), (3, 30), (5, 6), (7, 7), (11, 29)]:
+    suites = [ball_regulation_suite(factory, 2.0, R_GRID, 40, 21),
+              interference_suite(factory, 2.0, MODEL, 40, 22)]
+    for a, b in [(0, 40), (1, 4), (3, 30), (5, 6), (7, 7), (11, 29)]:
         assert shard_records(suites, range(a, b)) == [
             ball_oracle(factory, 2.0, 21, range(a, b)),
             interference_oracle(factory, 2.0, 22, range(a, b))]
-    skipped = shard_records(suites, range(30))[1][1]
+    skipped = shard_records(suites, range(40))[1][1]
     assert (skipped > 0) == (intensity < 0.01)
+    assert (max(cells, default=0) > 1 << 16) == (budget > 2000)
 
 
-@pytest.mark.parametrize("budget", [4000, 1000, 1])
+@pytest.mark.parametrize("budget", [pointset.GROUP_POINTS, 4000, 1000, 1])
 def test_lattice_ball_suite_matches_plain_factory(monkeypatch, budget):
-    # a group holds 9, 3 or 1 copies of the 472-site lattice, one per center:
-    # it closes at the first copy that reaches the budget.  The two suites'
-    # streams, centers included, come from the shard's two seeding passes
+    # a group holds 17, 9, 3 or 1 copies of the 472-site lattice, one per
+    # center, at the default budget of 8,000 points and at 4,000, 1,000 and
+    # 1: it closes at the first copy that reaches the budget.  The two
+    # suites' streams, centers included, come from the shard's two seeding
+    # passes
     monkeypatch.setattr(pointset, "GROUP_POINTS", budget)
     lattice = lattice_factory(A_HEX, 40.0)
     suites = [ball_regulation_suite(lattice, 2.0, R_GRID, 30, seed)

@@ -241,6 +241,8 @@ ERROR_CASES = [
      "k must be a positive integer"),
     (("critical-power", "--k", "3", "--k", "0", "--alpha", "2"), 2,
      "int r l(r) dr diverges for alpha = 2.0 <= 2"),
+    (("rate-vs-hk", "--k", "0"), 1, "k must be a positive integer"),
+    (("rate-vs-hk", "--k", "-3"), 1, "k must be a positive integer"),
     # a valid link whose always-active SINR bound rounds to 0
     (("critical-power", "--alpha", "2.1", "--d", "1e140", "--hardcore",
       "1e-25", "--power", "1e300"), 1,
