@@ -45,14 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# the %-format of each type a CSV cell or option value can have, matched
+# exactly (a bool or a numpy scalar has none)
+_EXACT_FORMATS = {float: "%.12g", int: "%d", str: "%s", type(None): "%.0s"}
+
+
 def _fmt(value) -> str:
-    """An option's value as its ``#`` line prints it: a float, int, str or
-    list of them."""
-    if isinstance(value, float):
-        return f"{value:.12g}"
+    """An option's value as its ``#`` line prints it: as a CSV cell, or a
+    list of them joined by spaces."""
     if isinstance(value, list):
         return " ".join(map(_fmt, value))
-    return str(value)
+    return _EXACT_FORMATS[type(value)] % value
 
 
 def _write_csv(args, header: list[str], rows, footer: list[str] = ()) -> None:
@@ -66,11 +69,6 @@ def _write_csv(args, header: list[str], rows, footer: list[str] = ()) -> None:
         [",".join(header)],
         _format_rows(rows),
         (f"# {note}" for note in footer)))
-
-
-# the %-format of each type a CSV cell can have, matched exactly (a bool
-# or a numpy scalar has none)
-_EXACT_FORMATS = {float: "%.12g", int: "%d", str: "%s", type(None): "%.0s"}
 
 
 def _format_rows(rows):
@@ -209,9 +207,9 @@ def cmd_verify(args) -> int:
     _write_csv(args, ["seed", "d", "t", "realized", "bound", "ratio"],
                [(*r, r.ratio) for rep in reports for r in rep.records], footer)
     total = sum(rep.violations for rep in reports)
-    for rep in reports:
-        print(rep.summary())
-    print(f"total violations: {total}")
+    # a CSV on stdout stays a CSV: the summaries then go to stderr
+    print(*footer, f"total violations: {total}", sep="\n",
+          file=sys.stdout if args.out else sys.stderr)
     return EXIT_OK if total == 0 else EXIT_VIOLATION
 
 
@@ -313,8 +311,9 @@ def main(argv=None) -> int:
         code, message = EXIT_INFEASIBLE, exc
     except MemoryError as exc:  # e.g. a sample too large to hold
         code, message = EXIT_USAGE, f"out of memory: {exc}"
-    except (_UsageError, ValueError) as exc:
-        # ValueError includes ConfigurationError and UnsupportedReuseError
+    except (_UsageError, ValueError, OSError) as exc:
+        # ValueError includes ConfigurationError and UnsupportedReuseError;
+        # OSError an --out that cannot be opened
         code, message = EXIT_USAGE, exc
     print(f"error: {message}", file=sys.stderr)
     return code

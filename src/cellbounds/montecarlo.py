@@ -23,7 +23,8 @@ Each shard derives these for all its suites, the only streams their
 records get, in two vectorized passes of numpy's seeding algorithm
 (:func:`trial_streams`, :mod:`cellbounds._seeding`): one for the trial
 seeds and ball centers, and one for the samples, which the trial seeds
-seed.
+seed.  A suite that draws nothing, such as the scheduled check, is given
+its streams all the same.
 """
 
 from __future__ import annotations
@@ -165,22 +166,19 @@ def lattice_factory(a: float, half_width: float, k: int = 1):
 class Suite(NamedTuple):
     """A trial-indexed check, run in shards of its trials by :func:`run_suites`.
 
-    ``records(trial_range)`` gives the records of a non-empty range of
-    trial indices and how many of them were skipped.  A record depends only
-    on the suite's seed and its trial index, so the records of contiguous
-    ranges, concatenated in order, are those of ``range(trials)``.
-
-    A suite with a ``seed`` draws from its streams (see the module
-    docstring).  Each shard derives the streams of all its seeded suites
-    in two passes and always calls ``records(trial_range, streams)`` with
-    the suite's :class:`TrialStreams`; a suite without a seed gets the
-    range alone.
+    ``records(trial_range, streams)`` gives the records of a non-empty
+    range of trial indices and how many of them were skipped.  ``streams``
+    are the suite's :class:`TrialStreams` over that range, of its ``seed``
+    (see the module docstring), which each shard derives for all its
+    suites in two passes.  A record depends only on the suite's seed and
+    its trial index, so the records of contiguous ranges, concatenated in
+    order, are those of ``range(trials)``.
     """
 
     label: str
     trials: int
     records: Callable[..., tuple[list[TrialRecord], int]]
-    seed: int | None = None
+    seed: int
 
 
 def run_suites(suites: list[Suite]) -> list[VerificationReport]:
@@ -222,7 +220,7 @@ def run_suites(suites: list[Suite]) -> list[VerificationReport]:
 def _run_shard(suites: list[Suite], shard: range):
     """Records and skipped counts of each suite over the trials in shard,
     up to the first suite that raises, and that exception or None.  The
-    streams of every seeded suite come first, from two passes.
+    streams of every suite come first, from two passes.
 
     The records of a suite are given as the columns of
     :class:`TrialRecord`, which a forked shard pickles in a fraction of
@@ -231,12 +229,11 @@ def _run_shard(suites: list[Suite], shard: range):
               for suite in suites]
     done = []
     try:  # run_suites raises the exception if no earlier one
-        streams = iter(trial_streams(
-            [(suite.seed, trials) for suite, trials in zip(suites, ranges)
-             if suite.seed is not None]))
-        for suite, trials in zip(suites, ranges):
-            args = (trials,) if suite.seed is None else (trials, next(streams))
-            records, skipped = suite.records(*args) if trials else ([], 0)
+        streams = trial_streams([(suite.seed, trials)
+                                 for suite, trials in zip(suites, ranges)])
+        for suite, trials, drawn in zip(suites, ranges, streams):
+            records, skipped = (suite.records(trials, drawn) if trials
+                                else ([], 0))
             done.append((list(zip(*records)), skipped))
     except Exception as exc:
         return done, exc
@@ -307,11 +304,11 @@ def interference_suite(source, h: float, model: BoundedPowerLaw,
                  partial(_interference_records, source, h, model), seed)
 
 
-def _interference(group: SampleGroup, receivers, alpha: float) -> list:
+def _interference(group: SampleGroup, receiver, alpha: float) -> list:
     """Per sample of the group, None if it has no points, else the distance
-    d from its receiver to its nearest point and the realized interference
+    d from the receiver to its nearest point and the realized interference
     there: the bounded power-law sum over its other points."""
-    nearest, d2 = group.nearest(receivers)
+    nearest, d2 = group.nearest(receiver)
     found = []
     for k, i0 in enumerate(nearest):
         first, stop = group.starts[k], group.starts[k + 1]
@@ -326,7 +323,7 @@ def _interference_records(source, h: float, model: BoundedPowerLaw,
     user = source.window.center
     found = []
     for group in source.groups((words, None) for words in streams.samples):
-        found += _interference(group, [user] * len(group), model.alpha)
+        found += _interference(group, user, model.alpha)
     records = [_interference_record(tseed, model, h, *hit)
                for tseed, hit in zip(streams.seeds, found) if hit is not None]
     return records, found.count(None)
@@ -362,18 +359,19 @@ def scheduled_suite(lattice: MarkedPointSet, h_k: float,
     """
     interference_bound(model, h_k, h_k)  # a divergent model raises here
     return Suite(f"scheduled-bound-k{lattice.num_marks}", 1,
-                 partial(_scheduled_records, lattice, h_k, model, seed))
+                 partial(_scheduled_records, lattice, h_k, model, seed), seed)
 
 
 def _scheduled_records(lattice: MarkedPointSet, h_k: float,
-                       model: BoundedPowerLaw, seed: int, trials: range):
+                       model: BoundedPowerLaw, seed: int, trials: range,
+                       streams: TrialStreams):  # draws nothing
     k = lattice.num_marks
     user = lattice.window.center
     # one sample per mark class, each keeping its points in lattice order
     order = np.argsort(lattice.marks, kind="stable")
     classes = SampleGroup.of(lattice.points[order],
                              np.bincount(lattice.marks, minlength=k + 1)[1:])
-    found = _interference(classes, [user] * k, model.alpha)
+    found = _interference(classes, user, model.alpha)
     if None in found:
         raise ConfigurationError(f"the reuse-{k} point set has no point of "
                                  f"mark {found.index(None) + 1}")

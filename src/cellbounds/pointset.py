@@ -281,27 +281,23 @@ class SampleGroup(NamedTuple):
         np.cumsum(sizes, out=starts[1:])
         return cls(points, starts, np.arange(len(sizes)).repeat(sizes))
 
-    def sq_dists(self, centers) -> np.ndarray:
-        """:func:`kernels.sq_dists` from each point to its sample's center."""
-        ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
-        return kernels.sq_dists(self.points, ctr.take(self.label, axis=0))
-
     def ball_counts(self, centers, radii) -> list[list[int]]:
         """Per sample, the numbers of its points in the open balls
         b(center, r) around its center, one per radius r."""
         limits = _squared_limits(radii)
-        d2 = self.sq_dists(centers)
+        ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
+        d2 = kernels.sq_dists(self.points, ctr.take(self.label, axis=0))
         counts = np.zeros((len(limits), len(self)), dtype=np.intp)
         for row, limit in zip(counts, limits):
             row += np.bincount(self.label.compress(d2 < limit),
                                minlength=len(self))
         return counts.T.tolist()
 
-    def nearest(self, centers) -> tuple[list[int], np.ndarray]:
-        """Per sample, the index in ``points`` of its point closest to its
-        center, exact ties broken lexicographically by the points'
-        coordinates, or -1 if it has no points; and :meth:`sq_dists`."""
-        d2 = self.sq_dists(centers)
+    def nearest(self, receiver) -> tuple[list[int], np.ndarray]:
+        """Per sample, the index in ``points`` of its point closest to
+        ``receiver``, exact ties broken lexicographically by the points'
+        coordinates, or -1 if it has no points; and the squared distances."""
+        d2 = kernels.sq_dists(self.points, receiver)
         bounds = self.starts.tolist()
         return [first + _nearest(self.points[first:stop], d2[first:stop])
                 if stop > first else -1

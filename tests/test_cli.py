@@ -13,36 +13,51 @@ from cellbounds import cli
 
 A_HEX = 4 / math.sqrt(3.0)
 
-# sha256 of each sweep's CSV at its CLI defaults
-SWEEP_SHA256 = {
-    "bound-compare":
-        "3298d58a92705bba61b0ca2d298aa8186ca8daf71cbc8df4a48e05eb2eed0e9d",
-    "rate-vs-hk":
-        "6752a90ca55cf8ae60906c4a98a9150df8104ee6daa6b7b02776f13611f4a86a",
-    "critical-power":
-        "764878eb05a76f14f18cf743ae237afd2efd88d9109e97f016190297213b069e",
-    "hex-sweep":
-        "abbd8f1ca5d3d70e27999f51b05590592f2582db9537d573b5d8b19c12731ae5",
+# the argv and CSV sha256 of each pinned output: the four sweeps at their
+# CLI defaults, then four verify shapes
+PINNED = {
+    "bound-compare": (
+        ["bound-compare"],
+        "3298d58a92705bba61b0ca2d298aa8186ca8daf71cbc8df4a48e05eb2eed0e9d"),
+    "rate-vs-hk": (
+        ["rate-vs-hk"],
+        "6752a90ca55cf8ae60906c4a98a9150df8104ee6daa6b7b02776f13611f4a86a"),
+    "critical-power": (
+        ["critical-power"],
+        "764878eb05a76f14f18cf743ae237afd2efd88d9109e97f016190297213b069e"),
+    "hex-sweep": (
+        ["hex-sweep"],
+        "abbd8f1ca5d3d70e27999f51b05590592f2582db9537d573b5d8b19c12731ae5"),
+    # about 17k points per Matern sample: the most thinning batch cuts
+    "verify-wide": (
+        ["verify", "--suite", "all", "--trials", "3", "--window", "400",
+         "--seed", "5"],
+        "7c68152e18da376ffc491e9217567ab061270866cf2c3cddff68d6a792b412bb"),
+    "verify-seed-7": (
+        ["verify", "--suite", "all", "--trials", "100", "--seed", "7"],
+        "9771851d1fd911699caa25e57a91bfe20bdf6161e9c94970f476958c5ab31470"),
+    # a seed of three 32-bit words, so a ball center's entropy [seed, i, 1]
+    # has five
+    "verify-seed-2**70": (
+        ["verify", "--suite", "all", "--trials", "3", "--seed", str(2**70)],
+        "19af7e9e18a70ee5ef36e9fb42f691027c2d117ded402a36f416230261feeee9"),
+    # the four empty summaries and no scheduled one
+    "verify-trials-0": (
+        ["verify", "--trials", "0"],
+        "fd90f9d4fe4d2b04fc2cfb95bec3a3fa16c6e8881bea3ac6556f633972fea565"),
 }
-# sha256 of verify --suite all --trials 3 --window 400 --seed 5
-WIDE_VERIFY_SHA256 = (
-    "7c68152e18da376ffc491e9217567ab061270866cf2c3cddff68d6a792b412bb")
-# sha256 of verify --suite all --trials 100 --seed 7
-SEED7_VERIFY_SHA256 = (
-    "9771851d1fd911699caa25e57a91bfe20bdf6161e9c94970f476958c5ab31470")
-# sha256 of verify --suite all --trials 3 --seed 2**70: a seed of three
-# 32-bit words, so a ball center's entropy [seed, i, 1] has five
-SEED70_VERIFY_SHA256 = (
-    "19af7e9e18a70ee5ef36e9fb42f691027c2d117ded402a36f416230261feeee9")
-# sha256 of verify --trials 0: the four empty summaries and no scheduled one
-VERIFY0_SHA256 = (
-    "fd90f9d4fe4d2b04fc2cfb95bec3a3fa16c6e8881bea3ac6556f633972fea565")
 
 
 def run(tmp_path, name, *argv):
     out = tmp_path / name
     code = cli.main([*argv, "--out", str(out)])
     return code, out
+
+
+def pinned_output_sha256(tmp_path, name):
+    code, out = run(tmp_path, f"{name}.csv", *PINNED[name][0])
+    assert code == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def parse_csv(path):
@@ -202,6 +217,32 @@ def test_verify_suites_pass(tmp_path, capsys):
     assert all(float(r[5]) <= 1.0 for r in rows)
 
 
+def test_verify_without_out_writes_one_csv_to_stdout(capsys):
+    # the summaries go to stderr, and the CSV's footer repeats them
+    assert cli.main(["verify", "--trials", "2"]) == 0
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    data = [ln for ln in out if not ln.startswith("#")]
+    assert data[0] == "seed,d,t,realized,bound,ratio"
+    assert len(data) > 1
+    assert all(len(ln.split(",")) == 6 for ln in data[1:])
+    *summaries, total = captured.err.splitlines()
+    assert total == "total violations: 0"
+    assert len(summaries) == 7
+    assert out[-7:] == [f"# {line}" for line in summaries]
+
+
+@pytest.mark.parametrize("argv", [("hex-sweep",), ("verify", "--trials", "1")],
+                         ids=["hex-sweep", "verify"])
+@pytest.mark.parametrize("target", ["missing/x.csv", "."],
+                         ids=["missing-directory", "directory"])
+def test_out_that_cannot_be_opened_is_one_line_usage_error(
+        tmp_path, capsys, argv, target):
+    assert cli.main([*argv, "--out", str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_zero_trials_is_vacuous(tmp_path):
     code, out = run(tmp_path, "empty.csv", "verify", "--suite", "all",
                     "--trials", "0")
@@ -353,39 +394,10 @@ def test_header_skips_options_without_a_value():
                                            "x", "1"]
 
 
-@pytest.mark.parametrize("command", sorted(SWEEP_SHA256))
-def test_sweep_csv_bytes_are_pinned(tmp_path, command):
-    code, out = run(tmp_path, f"{command}.csv", command)
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[command]
-
-
-def test_wide_verify_csv_bytes_are_pinned(tmp_path):
-    # about 17k points per Matern sample: the most thinning batch cuts
-    code, out = run(tmp_path, "wide.csv", "verify", "--suite", "all",
-                    "--trials", "3", "--window", "400", "--seed", "5")
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_VERIFY_SHA256
-
-
-def test_seed_7_verify_csv_bytes_are_pinned(tmp_path):
-    code, out = run(tmp_path, "seed7.csv", "verify", "--suite", "all",
-                    "--trials", "100", "--seed", "7")
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED7_VERIFY_SHA256
-
-
-def test_multi_word_seed_verify_csv_bytes_are_pinned(tmp_path):
-    code, out = run(tmp_path, "seed70.csv", "verify", "--suite", "all",
-                    "--trials", "3", "--seed", str(2**70))
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEED70_VERIFY_SHA256
-
-
-def test_zero_trial_verify_csv_bytes_are_pinned(tmp_path):
-    code, out = run(tmp_path, "zero.csv", "verify", "--trials", "0")
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY0_SHA256
+@pytest.mark.parametrize("name", list(PINNED))
+def test_sweep_csv_bytes_are_pinned(tmp_path, name):
+    # every pinned output, the verify shapes included
+    assert pinned_output_sha256(tmp_path, name) == PINNED[name][1]
 
 
 def test_csv_is_written_as_it_is_formatted(tmp_path):
@@ -439,15 +451,8 @@ def test_shared_parser_carries_nothing_between_calls(tmp_path):
     for argv in (("bound-compare", "--alpha", "3"),
                  ("critical-power", "--k", "4")):
         assert run(tmp_path, "once.csv", *argv)[0] == 0
-    for command in sorted(SWEEP_SHA256):
-        code, out = run(tmp_path, f"{command}.csv", command)
-        assert code == 0
-        assert (hashlib.sha256(out.read_bytes()).hexdigest()
-                == SWEEP_SHA256[command])
-    code, out = run(tmp_path, "wide.csv", "verify", "--suite", "all",
-                    "--trials", "3", "--window", "400", "--seed", "5")
-    assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_VERIFY_SHA256
+    for name, (_, sha256) in PINNED.items():
+        assert pinned_output_sha256(tmp_path, name) == sha256
 
 
 def test_verify_detects_corrupted_hardcore_claim(tmp_path):

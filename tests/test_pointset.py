@@ -475,21 +475,26 @@ def test_sample_group_queries_match_single_sets():
     centers = [(0.0, 0.0), (1.0, 1.0), (-2.0, 3.0), (0.5, -1.0), (2.0, 2.0)]
     group = SampleGroup.of(np.concatenate(sets), [len(p) for p in sets])
     radii = [0.0, 1.5, 3.0, 20.0]
-    nearest, d2 = group.nearest(centers)
     counts = group.ball_counts(centers, radii)
-    for k, (pts, center) in enumerate(zip(sets, centers)):
-        ps = MarkedPointSet(pts, np.ones(len(pts), dtype=int),
-                            Rect(-6, 6, -6, 6))
+    single = [MarkedPointSet(pts, np.ones(len(pts), dtype=int),
+                             Rect(-6, 6, -6, 6)) for pts in sets]
+    for k, (pts, ps, center) in enumerate(zip(sets, single, centers)):
         first = group.starts[k]
         assert np.array_equal(group.points[first:first + len(pts)], pts)
         expected = [sum(math.dist(p, center) < r for p in pts) for r in radii]
         assert counts[k] == [ball_count(ps, center, r) for r in radii]
         assert counts[k] == expected
-        if len(pts):
-            assert nearest[k] - first == nearest_index(ps, center)
-            assert d2[nearest[k]] == min(((pts - center) ** 2).sum(axis=1))
-        else:
-            assert nearest[k] == -1
+    # nearest takes one receiver for every sample of the group
+    for receiver in centers:
+        nearest, d2 = group.nearest(receiver)
+        assert np.array_equal(
+            d2, ((group.points - receiver) ** 2).sum(axis=1))
+        for k, ps in enumerate(single):
+            if len(ps):
+                assert (nearest[k] - group.starts[k]
+                        == nearest_index(ps, receiver))
+            else:
+                assert nearest[k] == -1
 
 
 def test_matern_groups_equal_gen_matern_ii(monkeypatch):

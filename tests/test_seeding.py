@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellbounds import _seeding, cli, montecarlo
-from cellbounds.montecarlo import trial_seed, trial_streams
+from cellbounds.montecarlo import (check_scheduled_bound, lattice_factory,
+                                   trial_seed, trial_streams)
+from cellbounds.pathloss import BoundedPowerLaw
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 7]
 INDICES = [0, 1, 2**32 - 1, 2**32]
@@ -103,6 +105,8 @@ def test_the_adapter_hands_pcg64_four_contiguous_words():
     lambda: trial_seed(0, -1),
     lambda: _seeding.states([(5,), (-2**40,)]),
     lambda: trial_streams([(-1, range(3))]),
+    lambda: check_scheduled_bound(lattice_factory(2.0, 10.0), 1.0,
+                                  BoundedPowerLaw(4), seed=-1),
 ])
 def test_negative_entropy_raises_value_error(call):
     with pytest.raises(ValueError, match="non-negative"):
@@ -116,8 +120,8 @@ def test_an_empty_batch_has_no_words():
 
 def test_a_shard_of_verify_derives_its_streams_in_two_passes(tmp_path,
                                                             monkeypatch):
-    # the suites of `verify --suite all`: four seeded ones, two of them
-    # Matern, and three scheduled ones
+    # the suites of `verify --suite all`: four drawing ones, two of them
+    # Matern, and three scheduled ones of one trial, which draw nothing
     captured = []
     run_suites = montecarlo.run_suites
     monkeypatch.setattr(montecarlo, "run_suites",
@@ -133,5 +137,6 @@ def test_a_shard_of_verify_derives_its_streams_in_two_passes(tmp_path,
                         lambda rows: passes.append(len(rows)) or states(rows))
     done, exc = montecarlo._run_shard(suites, range(3))
     assert exc is None and len(done) == len(suites)
-    # trial seeds and centers of 3 + 3 + 1 + 3 trials, then their samples
-    assert passes == [20, 10]
+    # trial seeds and centers of 3 + 3 + 1 + 3 + 1 + 1 + 1 trials, then
+    # their samples
+    assert passes == [26, 13]

@@ -6,7 +6,7 @@ import pytest
 from cellbounds import montecarlo
 from cellbounds._shards import (map_shards, shard_ranges, usable_cpus,
                                worker_count)
-from cellbounds.montecarlo import Suite, TrialRecord, run_suites
+from cellbounds.montecarlo import Suite, TrialRecord, run_suites, trial_seed
 
 
 def no_child_left():
@@ -185,14 +185,16 @@ def test_children_are_reaped_when_the_first_shard_raises():
 
 def counting_suite(label, trials, fail_at=()):
     """One record per trial, odd trials counted as skipped; raises at the
-    first trial in fail_at."""
-    def records(shard):
+    first trial in fail_at.  Its seed is 5, and each shard must hand it
+    the streams of its own trials."""
+    def records(shard, streams):
+        assert streams.seeds == [trial_seed(5, i) for i in shard]
         for i in shard:
             if i in fail_at:
                 raise ValueError(f"{label} trial {i}")
         return [TrialRecord(i, 0.0, 0.0, float(i), float(trials))
                 for i in shard], sum(i % 2 for i in shard)
-    return Suite(label, trials, records)
+    return Suite(label, trials, records, 5)
 
 
 def pin_workers(monkeypatch, workers):
